@@ -10,11 +10,16 @@
 //
 // Every sweep point trains a fresh Diehl&Cook network under the fault and
 // reports the online accuracy (the paper's metric) next to the attack-free
-// baseline. Sweep points run in parallel (they are independent trainings).
+// baseline. All points start from the same seed model, so they consume the
+// same encoder stream: a sweep splits its points into one contiguous
+// lockstep group per worker, and each group encodes every training sample
+// once and replays it on all its members (snn::Trainer). Results do not
+// depend on the grouping.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -68,9 +73,13 @@ public:
     /// Builds the suite over a fixed dataset. The baseline (fault-free)
     /// accuracy is computed lazily on first use and cached.
     AttackSuite(snn::Dataset dataset, AttackRunConfig config);
+    /// Shares a dataset (e.g. a core::Session's cached one) instead of
+    /// copying it; only a dataset longer than config.train_samples is
+    /// copied, truncated.
+    AttackSuite(std::shared_ptr<const snn::Dataset> dataset, AttackRunConfig config);
 
     const AttackRunConfig& config() const noexcept { return config_; }
-    const snn::Dataset& dataset() const noexcept { return dataset_; }
+    const snn::Dataset& dataset() const noexcept { return *dataset_; }
 
     /// Fault-free reference accuracy (cached).
     double baseline_accuracy();
@@ -92,16 +101,18 @@ public:
 
     /// Runs one fault configuration.
     AttackOutcome run(const FaultSpec& fault);
-    /// Runs many fault configurations in parallel. Results are
-    /// index-addressed, so the output is identical for any worker count.
+    /// Runs many fault configurations in parallel: training-phase points
+    /// as lockstep groups, inference-only points one pool task each over
+    /// the trained baseline. Results are index-addressed, so the output is
+    /// identical for any worker count.
     std::vector<AttackOutcome> run_many(const std::vector<FaultSpec>& faults);
 
     /// Trains one replica from the shared seed model with `spec.schedule`
     /// installed for the glitched sample window — STDP runs under the
     /// mid-epoch glitch, inference outside the window is clean.
     AttackOutcome run_scheduled(const ScheduledTrainingSpec& spec);
-    /// Parallel form of run_scheduled (index-addressed, worker-count
-    /// independent, like run_many).
+    /// Parallel form of run_scheduled (lockstep groups, index-addressed,
+    /// worker-count independent, like run_many).
     std::vector<AttackOutcome> run_scheduled_many(
         const std::vector<ScheduledTrainingSpec>& specs);
 
@@ -124,14 +135,25 @@ public:
                                            const std::vector<double>& vdds);
 
 private:
-    AttackOutcome evaluate(const FaultSpec& fault);
+    /// Called before point `point`'s runtime trains sample `sample`.
+    using PointHook = std::function<void(std::size_t point, snn::NetworkRuntime& runtime,
+                                         std::size_t sample)>;
+    /// Trains one seed-model replica per overlay on the dataset and returns
+    /// their results in overlay order. The points are split into
+    /// min(points, workers) contiguous lockstep groups, one pool task per
+    /// group; inside a pool job (where a nested parallel_for runs
+    /// serially) all points form one group.
+    std::vector<snn::TrainResult> train_points(
+        const std::vector<snn::FaultOverlay>& overlays, const PointHook& hook = {});
+    /// Runs body(0..tasks-1) on the shared pool, or else on a local pool
+    /// of at most `tasks` workers.
+    void for_each_task(std::size_t tasks, const std::function<void(std::size_t)>& body);
     AttackOutcome evaluate_inference_only(const FaultSpec& fault);
-    AttackOutcome evaluate_scheduled(const ScheduledTrainingSpec& spec);
     /// The shared untrained model every sweep point trains from (same
     /// random init + RNG stream as the legacy per-point construction).
     const std::shared_ptr<const snn::NetworkModel>& seed_model();
 
-    snn::Dataset dataset_;
+    std::shared_ptr<const snn::Dataset> dataset_;
     AttackRunConfig config_;
     std::shared_ptr<const snn::NetworkModel> seed_model_;
     std::optional<snn::TrainResult> baseline_;

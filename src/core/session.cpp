@@ -303,8 +303,7 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
         config.eval_window = eval_window;
         config.phase = phase;
         config.max_workers = options_.max_workers;
-        auto suite =
-            std::make_shared<attack::AttackSuite>(snn::Dataset(*data), config);
+        auto suite = std::make_shared<attack::AttackSuite>(std::move(data), config);
         suite->set_thread_pool(&pool_);
         if (store_) {
             // The baseline training is phase-independent, so the store key

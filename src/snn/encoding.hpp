@@ -19,6 +19,25 @@ struct PoissonEncoderConfig {
     double dt_ms = 1.0;          ///< simulation step
 };
 
+/// One sample's input spike train in CSR form: the ascending input indices
+/// that spike at step t are indices[offsets[t], offsets[t+1]). Encoding a
+/// new sample into the same raster reuses its capacity, so a training loop
+/// that replays one raster per sample allocates nothing at steady state.
+struct SpikeRaster {
+    std::vector<std::uint32_t> offsets;  ///< steps() + 1 entries, offsets[0] == 0
+    std::vector<std::uint32_t> indices;
+
+    std::size_t steps() const noexcept {
+        return offsets.empty() ? 0 : offsets.size() - 1;
+    }
+    std::span<const std::uint32_t> at(std::size_t step) const noexcept {
+        return {indices.data() + offsets[step], offsets[step + 1] - offsets[step]};
+    }
+    /// Throws std::invalid_argument unless the raster spans `steps` steps
+    /// and every step lists strictly ascending indices below `n_input`.
+    void validate(std::size_t steps, std::size_t n_input) const;
+};
+
 /// Stateless per-step spike generator over one image.
 class PoissonEncoder {
 public:
@@ -31,6 +50,10 @@ public:
     /// Samples the active input indices for one timestep into `out`
     /// (cleared first). Deterministic given the Rng stream.
     void step(util::Rng& rng, std::vector<std::uint32_t>& out) const;
+
+    /// Samples `steps` timesteps into `out`: the same draws, in the same
+    /// order, as `steps` calls to step(), so `rng` ends in the same state.
+    void encode(util::Rng& rng, std::size_t steps, SpikeRaster& out) const;
 
     std::size_t size() const noexcept { return probabilities_.size(); }
 
@@ -45,11 +68,5 @@ private:
     /// the scaling of the draw by 2^-53 and of p by 2^53 are exact.
     std::vector<std::uint64_t> thresholds_;
 };
-
-/// Convenience: full raster for `steps` timesteps (used by tests/examples;
-/// the trainer streams steps instead of materialising rasters).
-std::vector<std::vector<std::uint32_t>> encode_raster(const PoissonEncoder& encoder,
-                                                      std::size_t steps,
-                                                      util::Rng& rng);
 
 }  // namespace snnfi::snn

@@ -83,10 +83,6 @@ NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
     // the tail the neuron update never reads.
     exc_input_.assign(kernels::padded_size(config.n_neurons), 0.0f);
     drive_ = exc_input_.data();
-    // Worst-case worklist capacity up front: the per-step active list
-    // never reallocates, whatever the Poisson stream does (steady-state
-    // allocation-free hot loop, asserted by test_kernels).
-    active_inputs_.reserve(config.n_input);
     exc_spiked_.assign(config.n_neurons, 0);
     inh_spiked_.assign(config.n_neurons, 0);
     set_overlay(overlay);
@@ -762,6 +758,14 @@ void NetworkRuntime::run_sample_into(std::span<const float> image,
     if (image.size() != config.n_input)
         throw std::invalid_argument("run_sample: image size mismatch");
     encoder_.set_image(image);
+    encoder_.encode(rng_, config.steps_per_sample, raster_);
+    run_sample_into(raster_, activity);
+}
+
+void NetworkRuntime::run_sample_into(const SpikeRaster& raster,
+                                     SampleActivity& activity) {
+    const DiehlCookConfig& config = model_->config();
+    raster.validate(config.steps_per_sample, config.n_input);
     begin_sample();
     reset_activity(activity, config.n_neurons);
     const bool telemetry = obs::enabled();
@@ -771,12 +775,11 @@ void NetworkRuntime::run_sample_into(std::span<const float> image,
     std::uint64_t scalar_steps = 0;
     for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
         if (!schedule_.empty()) advance_schedule(step);
-        encoder_.step(rng_, active_inputs_);
-        accumulate_drive(active_inputs_);
-        advance_step(active_inputs_, activity);
+        const std::span<const std::uint32_t> active = raster.at(step);
+        accumulate_drive(active);
+        advance_step(active, activity);
         if (metrics) {
-            const double fraction =
-                static_cast<double>(active_inputs_.size()) * inv_input;
+            const double fraction = static_cast<double>(active.size()) * inv_input;
             metrics->active_fraction.observe(fraction);
             metrics->active_fraction_last.set(fraction);
             ++(fast_path_active() ? fast_steps : scalar_steps);

@@ -109,7 +109,9 @@ public:
     bool learning_enabled() const noexcept { return learning_; }
 
     /// Runs one sample: dynamic state and traces reset first, schedule
-    /// cursor rewound, weights normalised afterwards when learning.
+    /// cursor rewound, weights normalised afterwards when learning. The
+    /// image is Poisson-encoded from rng() into a reused member raster,
+    /// then replayed through run_sample_into(const SpikeRaster&, ...).
     SampleActivity run_sample(std::span<const float> image);
 
     /// Allocation-free variant: accumulates into a caller-owned activity
@@ -117,6 +119,13 @@ public:
     /// sized, so a reused record makes the per-sample loop steady-state
     /// allocation-free (the campaign hot path).
     void run_sample_into(std::span<const float> image, SampleActivity& activity);
+
+    /// The step loop: replays an already-encoded input raster (exactly
+    /// steps_per_sample steps, ascending indices below n_input; throws
+    /// std::invalid_argument otherwise). rng() is not consumed, so a
+    /// lockstep training group encodes each sample once and every member
+    /// replays it.
+    void run_sample_into(const SpikeRaster& raster, SampleActivity& activity);
 
     /// True when the next step takes the branch-free fast-path neuron
     /// kernels (snn/kernels.hpp): the effective overlay touches no
@@ -273,10 +282,11 @@ private:
     /// ascending active list.
     std::vector<CellDelta> cell_deltas_;
 
-    // Scratch reused across steps. exc_input_ is padded to the kernel
+    // Scratch reused across samples and steps. raster_ holds the image
+    // overloads' encoded sample. exc_input_ is padded to the kernel
     // stride; drive_ points at it after accumulate_drive, or at the
     // batch's shared base drive after a delta-free adopt_drive.
-    std::vector<std::uint32_t> active_inputs_;
+    SpikeRaster raster_;
     AlignedVector exc_input_;
     const float* drive_ = nullptr;
     std::vector<std::uint8_t> exc_spiked_;

@@ -39,23 +39,46 @@ struct TrainResult {
 
 /// Optional per-sample hook (fault scheduling, progress).
 using SampleHook = std::function<void(std::size_t index)>;
+/// Group form: called before group member `member` runs sample `index`.
+using MemberSampleHook = std::function<void(std::size_t member, std::size_t index)>;
 
+/// Trains a lockstep group of runtimes over ONE shared encoder stream.
+///
+/// Every member must start from the same rng() state; the stream is the
+/// encoder's only consumer, so all members would draw the same input
+/// spikes. The group encodes each sample once into a SpikeRaster and every
+/// member replays it — each member's TrainResult, weights, theta and final
+/// rng() are bit-identical to training it alone. A single runtime is a
+/// group of one.
 class Trainer {
 public:
     /// Trains a Model/Runtime replica: the runtime's learning mode is
     /// enabled for the pass, and runtime.freeze() after run() yields the
     /// trained immutable NetworkModel.
-    explicit Trainer(NetworkRuntime& runtime, std::size_t eval_window = 250)
-        : runtime_(&runtime), eval_window_(eval_window) {}
+    explicit Trainer(NetworkRuntime& runtime, std::size_t eval_window = 250);
+    /// A group of distinct, non-null runtimes that share the encoder
+    /// config, input size and steps per sample (else std::invalid_argument).
+    /// The runtimes must outlive the trainer.
+    explicit Trainer(std::vector<NetworkRuntime*> members,
+                     std::size_t eval_window = 250);
 
-    /// Trains on `train` (single pass, learning on), computing the online
-    /// windowed accuracy and the retrospective accuracy; when `test` is
-    /// non-null, also evaluates on the held-out set with learning frozen.
+    /// Trains the group on `train` (single pass, learning on), computing
+    /// each member's online windowed accuracy and retrospective accuracy;
+    /// when `test` is non-null, also evaluates on the held-out set with
+    /// learning frozen. Results are in member order. Throws
+    /// std::invalid_argument when the members' rng() states differ. On
+    /// return every member's rng() holds the group stream's final state,
+    /// so freeze() captures what solo training would have left.
+    std::vector<TrainResult> run_group(const Dataset& train,
+                                       const Dataset* test = nullptr,
+                                       const MemberSampleHook& hook = {});
+
+    /// run_group for a group of one (std::logic_error on a larger group).
     TrainResult run(const Dataset& train, const Dataset* test = nullptr,
                     const SampleHook& hook = {});
 
 private:
-    NetworkRuntime* runtime_ = nullptr;
+    std::vector<NetworkRuntime*> members_;
     std::size_t eval_window_;
 };
 

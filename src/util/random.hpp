@@ -96,6 +96,7 @@ public:
         std::array<std::uint64_t, 4> words{};
         double cached_normal = 0.0;
         bool has_cached_normal = false;
+        bool operator==(const Snapshot&) const = default;
     };
     Snapshot snapshot() const noexcept;
     void restore(const Snapshot& snapshot) noexcept;

@@ -30,6 +30,10 @@ public:
     /// Total workers including the caller (>= 1).
     std::size_t max_workers() const noexcept { return threads_.size() + 1; }
 
+    /// True on a thread currently executing a parallel_for body of any
+    /// pool — where a nested parallel_for runs serially.
+    static bool in_job() noexcept { return in_pool_job_; }
+
     /// Runs body(0..count-1), distributing indices over the pool plus the
     /// calling thread. Blocks until all indices completed. The first
     /// exception thrown by any body is rethrown on the caller after the

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "attack/calibration.hpp"
 #include "attack/fault_model.hpp"
 #include "attack/scenarios.hpp"
 #include "data/synthetic_digits.hpp"
+#include "snn/classifier.hpp"
 #include "snn/runtime.hpp"
+#include "snn/trainer.hpp"
 
 namespace snnfi::attack {
 namespace {
@@ -235,6 +238,133 @@ TEST(AttackSuite, ScheduledTrainingNarrowWindowStillGlitchesOneSample) {
     EXPECT_GT(glitched.exc_spikes_per_sample, reference.exc_spikes_per_sample);
 
     EXPECT_THROW(suite.run_scheduled({{}, 0.5, 0.4}), std::invalid_argument);
+}
+
+AttackRunConfig small_config(std::size_t max_workers) {
+    AttackRunConfig config;
+    config.network.n_neurons = 20;
+    config.network.steps_per_sample = 100;
+    config.train_samples = 60;
+    config.eval_window = 30;
+    config.max_workers = max_workers;
+    return config;
+}
+
+std::vector<FaultSpec> mixed_faults() {
+    std::vector<FaultSpec> faults(5);
+    faults[0].layer = TargetLayer::kNone;
+    faults[0].driver_gain = 0.8;
+    faults[1].layer = TargetLayer::kExcitatory;
+    faults[1].threshold_delta = -0.2;
+    faults[1].fraction = 0.5;
+    faults[2].layer = TargetLayer::kInhibitory;
+    faults[2].threshold_delta = -0.3;
+    faults[3].layer = TargetLayer::kBoth;
+    faults[3].threshold_delta = 0.2;
+    faults[4].layer = TargetLayer::kBoth;
+    faults[4].threshold_delta = -0.1;
+    faults[4].driver_gain = 1.2;
+    return faults;
+}
+
+void expect_same_outcomes(const std::vector<AttackOutcome>& a,
+                          const std::vector<AttackOutcome>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a[i].accuracy, b[i].accuracy);
+        EXPECT_EQ(a[i].retro_accuracy, b[i].retro_accuracy);
+        EXPECT_EQ(a[i].degradation_pct, b[i].degradation_pct);
+        EXPECT_EQ(a[i].exc_spikes_per_sample, b[i].exc_spikes_per_sample);
+    }
+}
+
+TEST(AttackSuite, LockstepGroupsMatchAcrossWorkerCountsAndSoloTraining) {
+    const auto dataset = data::make_synthetic_dataset(60, 42);
+    const std::vector<FaultSpec> faults = mixed_faults();
+    AttackSuite one_group(dataset, small_config(1));     // one group of 5
+    AttackSuite three_groups(dataset, small_config(3));  // groups of 1, 2, 2
+    const auto grouped = one_group.run_many(faults);
+    expect_same_outcomes(grouped, three_groups.run_many(faults));
+
+    // Each point equals a fresh replica trained alone under its fault.
+    const AttackRunConfig config = small_config(1);
+    const auto seed = snn::NetworkModel::random(config.network, config.network_seed);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        snn::NetworkRuntime solo(seed, overlay_for(faults[i], config.network));
+        const snn::TrainResult result =
+            snn::Trainer(solo, config.eval_window).run(dataset);
+        EXPECT_EQ(grouped[i].accuracy, result.train_accuracy) << i;
+        EXPECT_EQ(grouped[i].retro_accuracy, result.retro_accuracy) << i;
+    }
+
+    // Scheduled points: the three-worker split puts points 2 and 3 in one
+    // group, so each hook must address its own point's window.
+    std::vector<std::size_t> all(config.network.n_neurons);
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    snn::FaultOverlay dim;
+    dim.scale_threshold(snn::OverlayLayer::kInhibitory, all, 0.6f);
+    snn::FaultOverlay hot;
+    hot.scale_threshold(snn::OverlayLayer::kExcitatory, all, 0.7f);
+    const std::vector<ScheduledTrainingSpec> specs = {{{{10, 90, dim}}, 0.0, 1.0},
+                                                      {{{40, 100, hot}}, 0.25, 0.6},
+                                                      {{}, 0.5, 0.9},
+                                                      {{{0, 100, dim}}, 0.1, 0.5}};
+    const auto scheduled = one_group.run_scheduled_many(specs);
+    expect_same_outcomes(scheduled, three_groups.run_scheduled_many(specs));
+    for (std::size_t i = 1; i < specs.size(); ++i)
+        EXPECT_NE(scheduled[i].exc_spikes_per_sample,
+                  scheduled[i - 1].exc_spikes_per_sample);
+}
+
+TEST(AttackSuite, InferenceOnlyOnBaselineMatchesRetrainPath) {
+    const auto dataset = data::make_synthetic_dataset(60, 42);
+    AttackRunConfig config = small_config(2);
+    config.phase = AttackPhase::kInferenceOnly;
+    AttackSuite suite(dataset, config);
+    const std::vector<FaultSpec> faults = mixed_faults();
+    const auto outcomes = suite.run_many(faults);
+    ASSERT_EQ(outcomes.size(), faults.size());
+
+    // The retrain reference: train clean from the seed model, freeze
+    // learning, assign labels on a clean pass, then evaluate under the
+    // fault — all on the one runtime.
+    const auto seed = snn::NetworkModel::random(config.network, config.network_seed);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+        SCOPED_TRACE(f);
+        snn::NetworkRuntime runtime(seed);
+        (void)snn::Trainer(runtime, config.eval_window).run(dataset);
+        runtime.set_learning(false);
+        snn::ActivityClassifier classifier(config.network.n_neurons, 10);
+        for (std::size_t i = 0; i < dataset.size(); ++i)
+            classifier.accumulate(runtime.run_sample(dataset.images[i]).exc_counts,
+                                  dataset.labels[i]);
+        classifier.assign_labels();
+        runtime.set_overlay(overlay_for(faults[f], config.network));
+        std::size_t correct = 0;
+        double spikes = 0.0;
+        for (std::size_t i = 0; i < dataset.size(); ++i) {
+            const snn::SampleActivity activity = runtime.run_sample(dataset.images[i]);
+            spikes += static_cast<double>(activity.total_exc_spikes);
+            if (classifier.predict(activity.exc_counts) == dataset.labels[i]) ++correct;
+        }
+        const auto n = static_cast<double>(dataset.size());
+        EXPECT_EQ(outcomes[f].accuracy, static_cast<double>(correct) / n);
+        EXPECT_EQ(outcomes[f].exc_spikes_per_sample, spikes / n);
+    }
+}
+
+TEST(AttackSuite, SharesASessionDatasetWithoutCopying) {
+    const auto shared = std::make_shared<const snn::Dataset>(
+        data::make_synthetic_dataset(60, 42));
+    AttackSuite whole(shared, small_config(1));
+    EXPECT_EQ(&whole.dataset(), shared.get());
+    AttackRunConfig shorter = small_config(1);
+    shorter.train_samples = 40;
+    AttackSuite truncated(shared, shorter);
+    EXPECT_NE(&truncated.dataset(), shared.get());
+    EXPECT_EQ(truncated.dataset().size(), 40u);
+    EXPECT_EQ(shared->size(), 60u);
 }
 
 TEST(ToString, LayerNames) {

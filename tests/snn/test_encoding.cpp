@@ -46,9 +46,42 @@ TEST(PoissonEncoder, DeterministicGivenSeed) {
     std::vector<float> image(50, 0.3f);
     encoder.set_image(image);
     util::Rng rng_a(99), rng_b(99);
-    const auto raster_a = encode_raster(encoder, 200, rng_a);
-    const auto raster_b = encode_raster(encoder, 200, rng_b);
-    EXPECT_EQ(raster_a, raster_b);
+    SpikeRaster raster_a, raster_b;
+    encoder.encode(rng_a, 200, raster_a);
+    encoder.encode(rng_b, 200, raster_b);
+    EXPECT_EQ(raster_a.offsets, raster_b.offsets);
+    EXPECT_EQ(raster_a.indices, raster_b.indices);
+}
+
+TEST(PoissonEncoder, EncodeMatchesRepeatedStepsOverLongStream) {
+    // Several images back to back on one stream, one raster reused: every
+    // step's row, the spike total and the final RNG state must equal what
+    // step() produces, draw for draw.
+    util::Rng image_rng(5);
+    util::Rng stepped(77), encoded(77);
+    PoissonEncoder encoder;
+    SpikeRaster raster;
+    std::vector<std::uint32_t> active;
+    for (const std::size_t steps : {1000u, 0u, 3000u, 250u}) {
+        std::vector<float> image(784, 0.0f);
+        for (float& x : image) {
+            if (image_rng.bernoulli(0.3)) x = static_cast<float>(image_rng.uniform());
+        }
+        encoder.set_image(image);
+        encoder.encode(encoded, steps, raster);
+        ASSERT_EQ(raster.steps(), steps);
+        std::size_t total = 0;
+        for (std::size_t t = 0; t < steps; ++t) {
+            encoder.step(stepped, active);
+            const std::span<const std::uint32_t> row = raster.at(t);
+            ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), active)
+                << "step " << t;
+            total += active.size();
+        }
+        EXPECT_EQ(raster.indices.size(), total);
+        EXPECT_NO_THROW(raster.validate(steps, image.size()));
+        EXPECT_TRUE(encoded.snapshot() == stepped.snapshot());
+    }
 }
 
 TEST(PoissonEncoder, IntensityClampedToUnitRange) {
