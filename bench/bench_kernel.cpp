@@ -1,17 +1,19 @@
 // Micro-benchmark of the snn::kernels hot-loop layer in isolation:
 // sparse blocked drive accumulation vs the naive one-row-at-a-time
-// reference, and the branch-free fast-path neuron update vs the scalar
-// fault-aware loop it replaces.
+// reference, the branch-free fast-path neuron update vs the scalar
+// fault-aware loop it replaces, and the row-major STDP learn/normalize
+// kernels (through DenseConnection) vs the column-walk reference in
+// tests/snn/stdp_reference.hpp.
 //
 //   $ ./bench_kernel [--quick] [--neurons=100] [--inputs=784]
 //                    [--active-fraction=0.1] [--out=BENCH_kernel.json]
 //
-// Both comparisons are checked for bit-identity before timing is
+// Every comparison is checked for bit-identity before timing is
 // reported — a speedup over a kernel that computes something different
 // would be meaningless. Emits BENCH_kernel.json with the dimensionless
-// `drive_speedup` / `update_speedup` ratios (gated by tools/bench_compare
-// against bench/baselines/BENCH_kernel.json) plus absolute rates
-// (row-accumulations/s, neuron-steps/s) for context.
+// `drive_speedup` / `update_speedup` / `learn_speedup` /
+// `normalize_speedup` ratios (gated by tools/bench_compare against
+// bench/baselines/BENCH_kernel.json) plus absolute rates for context.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -21,6 +23,8 @@
 #include <sstream>
 #include <vector>
 
+#include "../tests/snn/stdp_reference.hpp"
+#include "snn/connection.hpp"
 #include "snn/kernels.hpp"
 #include "snn/tensor.hpp"
 #include "util/cli.hpp"
@@ -266,14 +270,87 @@ int main(int argc, char** argv) {
     const double neuron_steps_per_s =
         static_cast<double>(n * steps) / fast_update_s;
 
+    // --- STDP: row-major kernels vs column-walk reference ----------------
+    // One post spike per step on average, as in Diehl&Cook training; the
+    // weights start normalised like a trained layer's.
+    std::vector<std::vector<std::uint8_t>> post_spiked(
+        steps, std::vector<std::uint8_t>(n, 0));
+    for (auto& spiked : post_spiked) {
+        for (auto& s : spiked) s = rng.uniform() < 1.0 / static_cast<double>(n);
+    }
+    snn::StdpParams stdp;
+    const float norm_total = 0.1f * static_cast<float>(n_pre);
+    snn::reference::normalize(weights, norm_total);
+    snn::DenseConnection conn(weights, stdp, norm_total);
+    snn::reference::StdpState ref(weights);
+    const float trace_decay = conn.trace_decay();
+    const auto learn_kernel = [&] {
+        for (std::size_t t = 0; t < steps; ++t) conn.learn(active[t], post_spiked[t]);
+    };
+    const auto learn_reference = [&] {
+        for (std::size_t t = 0; t < steps; ++t)
+            snn::reference::learn(ref, stdp, trace_decay, active[t], post_spiked[t]);
+    };
+    const auto same_stdp_state = [&] {
+        const snn::Matrix& a = conn.weights();
+        return std::memcmp(a.data(), ref.weights.data(),
+                           a.rows() * a.stride() * sizeof(float)) == 0 &&
+               std::memcmp(conn.trace_pre().data(), ref.trace_pre.data(),
+                           n_pre * sizeof(float)) == 0 &&
+               std::memcmp(conn.trace_post().data(), ref.trace_post.data(),
+                           n * sizeof(float)) == 0;
+    };
+    learn_kernel();
+    learn_reference();
+    conn.normalize();
+    snn::reference::normalize(ref.weights, norm_total);
+    if (!same_stdp_state()) {
+        std::cerr << "error: STDP kernels diverge from the column-walk "
+                     "reference — nothing to benchmark\n";
+        return 1;
+    }
+    // Both sides run the same sweeps from the same state, so they stay
+    // bit-identical and do identical work rep after rep.
+    const std::size_t norm_calls = quick ? 20 : 100;
+    double learn_s = 1e300;
+    double learn_ref_s = 1e300;
+    double norm_s = 1e300;
+    double norm_ref_s = 1e300;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+        auto start = std::chrono::steady_clock::now();
+        learn_kernel();
+        learn_s = std::min(learn_s, seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        learn_reference();
+        learn_ref_s = std::min(learn_ref_s, seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        for (std::size_t c = 0; c < norm_calls; ++c) conn.normalize();
+        norm_s = std::min(norm_s, seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        for (std::size_t c = 0; c < norm_calls; ++c)
+            snn::reference::normalize(ref.weights, norm_total);
+        norm_ref_s = std::min(norm_ref_s, seconds_since(start));
+    }
+    if (!same_stdp_state()) {
+        std::cerr << "error: STDP kernels diverged from the column-walk "
+                     "reference during timing\n";
+        return 1;
+    }
+    const double learn_speedup = learn_s > 0.0 ? learn_ref_s / learn_s : 0.0;
+    const double normalize_speedup = norm_s > 0.0 ? norm_ref_s / norm_s : 0.0;
+    const double learn_ns_per_step = learn_s * 1e9 / static_cast<double>(steps);
+    const double normalize_us =
+        norm_s * 1e6 / static_cast<double>(norm_calls);
+
     // --- report -----------------------------------------------------------
     util::ResultTable table(
-        "snn kernels — blocked drive + branch-free update vs references",
+        "snn kernels — blocked drive, branch-free update, row-major STDP vs "
+        "references",
         {"inputs", "neurons", "drive_speedup", "rows_per_s", "update_speedup",
-         "neuron_steps_per_s"});
+         "neuron_steps_per_s", "learn_speedup", "normalize_speedup"});
     table.add_row({static_cast<double>(n_pre), static_cast<double>(n),
                    drive_speedup, rows_per_s, update_speedup,
-                   neuron_steps_per_s});
+                   neuron_steps_per_s, learn_speedup, normalize_speedup});
     std::cout << table;
 
     std::ostringstream json;
@@ -291,6 +368,15 @@ int main(int argc, char** argv) {
          << ",\"scalar_ms\":" << util::json_number(scalar_update_s * 1000.0)
          << ",\"update_speedup\":" << util::json_number(update_speedup)
          << ",\"neuron_steps_per_s\":" << util::json_number(neuron_steps_per_s)
+         << "},\"learn\":{\"kernel_ns_per_step\":"
+         << util::json_number(learn_ns_per_step)
+         << ",\"reference_ns_per_step\":"
+         << util::json_number(learn_ref_s * 1e9 / static_cast<double>(steps))
+         << ",\"learn_speedup\":" << util::json_number(learn_speedup)
+         << "},\"normalize\":{\"kernel_us_per_call\":"
+         << util::json_number(normalize_us) << ",\"reference_us_per_call\":"
+         << util::json_number(norm_ref_s * 1e6 / static_cast<double>(norm_calls))
+         << ",\"normalize_speedup\":" << util::json_number(normalize_speedup)
          << "}}";
     const std::string out_path = parser.get("out");
     std::ofstream out(out_path);

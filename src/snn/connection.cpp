@@ -12,15 +12,13 @@ DenseConnection::DenseConnection(std::size_t n_pre, std::size_t n_post,
     : weights_(n_pre, n_post), stdp_(params), norm_total_(norm_total) {
     if (n_pre == 0 || n_post == 0)
         throw std::invalid_argument("DenseConnection: empty dimension");
-    trace_decay_ = std::exp(-params.dt_ms / params.trace_tau_ms);
     // Row-major logical order — the same RNG draw sequence as the
     // historical contiguous-storage init (padding lanes consume none).
     for (std::size_t r = 0; r < n_pre; ++r) {
         for (float& w : weights_.row(r))
             w = static_cast<float>(rng.uniform()) * init_max;
     }
-    trace_pre_.assign(n_pre, 0.0f);
-    trace_post_.assign(n_post, 0.0f);
+    init_state();
     if (norm_total_ > 0.0f) normalize();
 }
 
@@ -28,9 +26,20 @@ DenseConnection::DenseConnection(Matrix initial, StdpParams params, float norm_t
     : weights_(std::move(initial)), stdp_(params), norm_total_(norm_total) {
     if (weights_.rows() == 0 || weights_.cols() == 0)
         throw std::invalid_argument("DenseConnection: empty dimension");
-    trace_decay_ = std::exp(-params.dt_ms / params.trace_tau_ms);
+    init_state();
+}
+
+void DenseConnection::init_state() {
+    learn_params_.trace_decay = std::exp(-stdp_.dt_ms / stdp_.trace_tau_ms);
+    learn_params_.nu_pre = stdp_.nu_pre;
+    learn_params_.nu_post = stdp_.nu_post;
+    learn_params_.wmin = stdp_.wmin;
+    learn_params_.wmax = stdp_.wmax;
     trace_pre_.assign(weights_.rows(), 0.0f);
     trace_post_.assign(weights_.cols(), 0.0f);
+    post_list_.assign(weights_.cols(), 0);
+    col_sums_.assign(weights_.stride(), 0.0f);
+    col_factors_.assign(weights_.stride(), 0.0f);
 }
 
 void DenseConnection::propagate(std::span<const std::uint32_t> active_pre,
@@ -47,36 +56,23 @@ void DenseConnection::propagate(std::span<const std::uint32_t> active_pre,
 
 void DenseConnection::learn(std::span<const std::uint32_t> active_pre,
                             std::span<const std::uint8_t> post_spiked) {
-    if (!learning_enabled_) return;
-    // Decay traces first (BindsNET order: decay, then event updates).
-    for (float& t : trace_pre_) t *= trace_decay_;
-    for (float& t : trace_post_) t *= trace_decay_;
-
-    // Pre-synaptic events: depression proportional to the post trace.
+    if (post_spiked.size() != n_post())
+        throw std::invalid_argument("DenseConnection::learn: post size mismatch");
     for (const std::uint32_t pre : active_pre) {
-        auto row = weights_.row(pre);
-        for (std::size_t j = 0; j < row.size(); ++j) {
-            row[j] = std::max(stdp_.wmin, row[j] - stdp_.nu_pre * trace_post_[j]);
-        }
-        trace_pre_[pre] = 1.0f;
+        if (pre >= n_pre())
+            throw std::invalid_argument("DenseConnection::learn: pre index out of range");
     }
-    // Post-synaptic events: potentiation proportional to the pre trace.
-    for (std::size_t j = 0; j < post_spiked.size(); ++j) {
-        if (!post_spiked[j]) continue;
-        for (std::size_t i = 0; i < n_pre(); ++i) {
-            float& w = weights_(i, j);
-            w = std::min(stdp_.wmax, w + stdp_.nu_post * trace_pre_[i]);
-        }
-        trace_post_[j] = 1.0f;
-    }
+    if (!learning_enabled_) return;
+    kernels::stdp_learn(learn_params_, weights_.data(), weights_.stride(), n_pre(), n_post(),
+                        active_pre, post_spiked.data(), trace_pre_.data(),
+                        trace_post_.data(), post_list_.data());
 }
 
 void DenseConnection::normalize() {
     if (norm_total_ <= 0.0f) return;
-    for (std::size_t j = 0; j < n_post(); ++j) {
-        const float total = weights_.column_sum(j);
-        if (total > 0.0f) weights_.scale_column(j, norm_total_ / total);
-    }
+    kernels::normalize_columns(weights_.data(), weights_.stride(), n_pre(),
+                               weights_.stride(), norm_total_, col_sums_.data(),
+                               col_factors_.data());
 }
 
 void DenseConnection::reset_traces() {

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "snn/kernels.hpp"
 #include "snn/tensor.hpp"
 #include "util/random.hpp"
 
@@ -53,12 +54,15 @@ public:
     void propagate(std::span<const std::uint32_t> active_pre,
                    std::span<float> out) const;
 
-    /// One STDP step: decays traces, applies pre-event depression and
-    /// post-event potentiation, updates traces.
+    /// One STDP step (kernels::stdp_learn): decays traces, applies
+    /// pre-event depression and post-event potentiation, updates traces.
+    /// Throws std::invalid_argument, before any state changes, unless
+    /// post_spiked has n_post entries and every active index is < n_pre.
     void learn(std::span<const std::uint32_t> active_pre,
                std::span<const std::uint8_t> post_spiked);
 
-    /// Rescales each post-neuron's total input weight to `norm_total`.
+    /// Rescales each post-neuron's total input weight to `norm_total`
+    /// (kernels::normalize_columns).
     void normalize();
 
     /// Clears traces (between samples).
@@ -67,15 +71,24 @@ public:
     void set_learning(bool enabled) noexcept { learning_enabled_ = enabled; }
 
     const StdpParams& params() const noexcept { return stdp_; }
+    float trace_decay() const noexcept { return learn_params_.trace_decay; }
+    std::span<const float> trace_pre() const noexcept { return trace_pre_; }
+    std::span<const float> trace_post() const noexcept { return trace_post_; }
 
 private:
+    void init_state();
+
     Matrix weights_;
     StdpParams stdp_;
     float norm_total_;
-    float trace_decay_;
+    kernels::LearnParams learn_params_;  ///< stdp_ plus the trace decay
     bool learning_enabled_ = true;
     std::vector<float> trace_pre_;
     std::vector<float> trace_post_;
+    // Kernel scratch, sized once so a training step never allocates.
+    std::vector<std::uint32_t> post_list_;
+    AlignedVector col_sums_;
+    AlignedVector col_factors_;
 };
 
 /// Fixed-weight one-to-one excitation (EL -> IL).

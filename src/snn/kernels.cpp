@@ -151,4 +151,68 @@ void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
     for (std::size_t i = 0; i < n; ++i) counts[i] += spiked[i];
 }
 
+void stdp_learn(const LearnParams& p, float* SNNFI_RESTRICT w,
+                std::size_t stride, std::size_t n_pre, std::size_t n_post,
+                std::span<const std::uint32_t> active_pre,
+                const std::uint8_t* SNNFI_RESTRICT post_spiked,
+                float* SNNFI_RESTRICT trace_pre,
+                float* SNNFI_RESTRICT trace_post,
+                std::uint32_t* SNNFI_RESTRICT post_list) {
+    const float decay = p.trace_decay;
+    const float nu_pre = p.nu_pre;
+    const float nu_post = p.nu_post;
+    const float wmin = p.wmin;
+    const float wmax = p.wmax;
+    for (std::size_t i = 0; i < n_pre; ++i) trace_pre[i] *= decay;
+    for (std::size_t j = 0; j < n_post; ++j) trace_post[j] *= decay;
+
+    // Pre-synaptic events: depression proportional to the post trace.
+    for (const std::uint32_t pre : active_pre) {
+        float* SNNFI_RESTRICT row = w + pre * stride;
+        for (std::size_t j = 0; j < n_post; ++j) {
+            const float x = row[j] - nu_pre * trace_post[j];
+            row[j] = wmin < x ? x : wmin;
+        }
+        trace_pre[pre] = 1.0f;
+    }
+
+    // Post-synaptic events: potentiation proportional to the pre trace,
+    // one row pass over the k spiking columns. Most steps have none, and
+    // an OR-reduction finds that faster than the gather.
+    unsigned any = 0;
+    for (std::size_t j = 0; j < n_post; ++j) any |= post_spiked[j];
+    if (any == 0) return;
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < n_post; ++j) {
+        post_list[k] = static_cast<std::uint32_t>(j);
+        k += post_spiked[j] != 0;
+    }
+    for (std::size_t i = 0; i < n_pre; ++i) {
+        float* SNNFI_RESTRICT row = w + i * stride;
+        const float d = nu_post * trace_pre[i];
+        for (std::size_t s = 0; s < k; ++s) {
+            const float x = row[post_list[s]] + d;
+            row[post_list[s]] = x < wmax ? x : wmax;
+        }
+    }
+    for (std::size_t s = 0; s < k; ++s) trace_post[post_list[s]] = 1.0f;
+}
+
+void normalize_columns(float* SNNFI_RESTRICT w, std::size_t stride,
+                       std::size_t rows, std::size_t n, float norm_total,
+                       float* SNNFI_RESTRICT sums,
+                       float* SNNFI_RESTRICT factors) {
+    for (std::size_t j = 0; j < n; ++j) sums[j] = 0.0f;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float* SNNFI_RESTRICT row = w + r * stride;
+        for (std::size_t j = 0; j < n; ++j) sums[j] += row[j];
+    }
+    for (std::size_t j = 0; j < n; ++j) factors[j] = norm_total / sums[j];
+    for (std::size_t r = 0; r < rows; ++r) {
+        float* SNNFI_RESTRICT row = w + r * stride;
+        for (std::size_t j = 0; j < n; ++j)
+            row[j] = sums[j] > 0.0f ? row[j] * factors[j] : row[j];
+    }
+}
+
 }  // namespace snnfi::snn::kernels

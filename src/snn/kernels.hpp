@@ -2,8 +2,9 @@
 //
 // Every fi/glitch campaign cell ultimately spends its time in two loops:
 // the per-step input->excitatory drive accumulation and the fused
-// LIF/DiehlCook neuron update. This header isolates both as plain
-// kernels over raw spans so NetworkRuntime, BatchRunner and
+// LIF/DiehlCook neuron update; every training step adds the STDP update
+// and, per sample, the weight normalisation. This header isolates them
+// as plain kernels over raw spans so NetworkRuntime, BatchRunner and
 // DenseConnection share one implementation — and so the property tests
 // can pit each kernel against a naive scalar reference in isolation.
 //
@@ -117,5 +118,42 @@ std::size_t inh_fast_step(const InhParams& p, const std::uint8_t* exc_spiked,
 /// counts[i] += spiked[i] — the per-sample spike histogram update.
 void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
                 std::size_t n);
+
+/// PostPre STDP step parameters, all loop-invariant.
+struct LearnParams {
+    float trace_decay = 1.0f;  ///< exp(-dt/tau)
+    float nu_pre = 0.0f;       ///< depression rate on pre-synaptic events
+    float nu_post = 0.0f;      ///< potentiation rate on post-synaptic events
+    float wmin = 0.0f;
+    float wmax = 1.0f;
+};
+
+/// One STDP step over row-major weights (row r at w + r * stride, n_post
+/// logical columns), in BindsNET order: decay both traces; depress each
+/// active pre row by nu_pre * trace_post, clamped below at wmin, and set
+/// its pre trace to 1; potentiate every row at the spiking post columns
+/// by nu_post * trace_pre, clamped above at wmax; set those post traces
+/// to 1. Each weight is updated elementwise from traces fixed within the
+/// step, so the row pass is bit-identical to walking one column per
+/// spiking post. The clamps are std::max(wmin, x) / std::min(wmax, x)
+/// including NaN. Only logical columns are written, so padding lanes
+/// stay zero. `post_list` is scratch for at least n_post indices.
+/// Precondition (unchecked): every active index is < n_pre.
+void stdp_learn(const LearnParams& p, float* w, std::size_t stride,
+                std::size_t n_pre, std::size_t n_post,
+                std::span<const std::uint32_t> active_pre,
+                const std::uint8_t* post_spiked, float* trace_pre,
+                float* trace_post, std::uint32_t* post_list);
+
+/// Per-column normalisation over row-major weights: every column j < n
+/// whose ascending-row sum is > 0 is scaled by norm_total / sum. Other
+/// columns (zero, negative or NaN sum) keep their bits — a select, not a
+/// factor of 1. The sums accumulate row by row in ascending order, the
+/// same roundings as a column walk. Zero padding lanes sum to zero and
+/// are left alone, so n may be the padded stride. `sums` and `factors`
+/// are scratch for n floats each.
+void normalize_columns(float* w, std::size_t stride, std::size_t rows,
+                       std::size_t n, float norm_total, float* sums,
+                       float* factors);
 
 }  // namespace snnfi::snn::kernels

@@ -5,12 +5,12 @@
 //
 // Matrix storage is 64-byte aligned and every row is padded to a 64-byte
 // stride (kernels::kPadFloats floats, see snn/kernels.hpp). The padding
-// lanes are ALWAYS zero — construction, fill() and the store codec keep
-// the invariant — so the sparse drive-accumulation kernel can stream
-// whole padded rows without a scalar tail: accumulating a zero padding
-// lane never perturbs a logical column. Logical accessors (row(),
-// operator(), to_vector()) never expose padding; kernels reach it via
-// padded_row()/stride().
+// lanes are ALWAYS zero — construction, fill(), the store codec and the
+// STDP kernels keep the invariant — so the sparse drive-accumulation
+// kernel can stream whole padded rows without a scalar tail:
+// accumulating a zero padding lane never perturbs a logical column.
+// Logical accessors (row(), operator(), to_vector()) never expose
+// padding; kernels reach it via data()/padded_row()/stride().
 #pragma once
 
 #include <cstddef>
@@ -90,6 +90,9 @@ public:
     }
     /// Base pointer of the padded storage (row r at data() + r*stride()).
     const float* data() const noexcept { return data_.data(); }
+    /// Mutable padded storage for in-place kernels, which must leave the
+    /// padding lanes zero.
+    float* data() noexcept { return data_.data(); }
 
     /// Logical elements in row-major order, padding elided — the
     /// serialisation form (the store blob layout predates padding and
@@ -105,8 +108,6 @@ public:
 
     /// Sum over rows for one column (total input weight of a post neuron).
     float column_sum(std::size_t c) const;
-    /// Multiplies every entry of column c by factor.
-    void scale_column(std::size_t c, float factor);
 
 private:
     std::size_t rows_ = 0;
@@ -139,10 +140,6 @@ inline float Matrix::column_sum(std::size_t c) const {
     float total = 0.0f;
     for (std::size_t r = 0; r < rows_; ++r) total += data_[r * stride_ + c];
     return total;
-}
-
-inline void Matrix::scale_column(std::size_t c, float factor) {
-    for (std::size_t r = 0; r < rows_; ++r) data_[r * stride_ + c] *= factor;
 }
 
 }  // namespace snnfi::snn

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 namespace snnfi::snn {
 namespace {
 
@@ -114,6 +118,43 @@ TEST(DenseConnection, TracesDecayAndReset) {
     conn.reset_traces();
     conn.learn(std::vector<std::uint32_t>{0}, std::vector<std::uint8_t>{0});
     EXPECT_FLOAT_EQ(conn.weights()(0, 0), 0.5f);  // trace cleared -> no change
+}
+
+/// learn validates its inputs before touching any state: a post vector
+/// of the wrong length (a longer one would write past the traces and
+/// into the padding lanes) or an out-of-range pre index (past the
+/// matrix) throws and leaves weights and both traces bit-identical.
+TEST(DenseConnection, LearnRejectsBadInputsWithoutStateChange) {
+    util::Rng rng(3);
+    DenseConnection conn(3, 2, test_params(), 0.0f, rng);
+    conn.learn(std::vector<std::uint32_t>{0, 2}, std::vector<std::uint8_t>{1, 0});
+    conn.learn(std::vector<std::uint32_t>{1}, std::vector<std::uint8_t>{0, 1});
+    const std::vector<float> weights = conn.weights().to_vector();
+    const std::vector<float> pre(conn.trace_pre().begin(), conn.trace_pre().end());
+    const std::vector<float> post(conn.trace_post().begin(), conn.trace_post().end());
+    const auto unchanged = [&] {
+        return conn.weights().to_vector() == weights &&
+               std::equal(pre.begin(), pre.end(), conn.trace_pre().begin()) &&
+               std::equal(post.begin(), post.end(), conn.trace_post().begin());
+    };
+    EXPECT_THROW(conn.learn(std::vector<std::uint32_t>{0},
+                            std::vector<std::uint8_t>{1, 1, 1}),
+                 std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW(conn.learn(std::vector<std::uint32_t>{0},
+                            std::vector<std::uint8_t>{1}),
+                 std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW(conn.learn(std::vector<std::uint32_t>{0, 3},
+                            std::vector<std::uint8_t>{1, 1}),
+                 std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    // The padding lanes of the weight rows stay zero as well.
+    for (std::size_t r = 0; r < conn.n_pre(); ++r) {
+        const auto padded = conn.weights().padded_row(r);
+        for (std::size_t j = conn.n_post(); j < padded.size(); ++j)
+            EXPECT_EQ(padded[j], 0.0f);
+    }
 }
 
 TEST(DenseConnection, NormalizePreservesBudget) {

@@ -3,7 +3,8 @@
 // exercise every unroll tail and padding edge, across fault
 // configurations, and end-to-end through NetworkRuntime/BatchRunner
 // (fast path vs scalar path, merge-join vs binary-search adopt_drive).
-// Plus the steady-state no-allocation guarantee of the sample loop.
+// Plus the steady-state no-allocation guarantee of the sample loop,
+// inference and STDP training alike.
 #include "snn/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <new>
 #include <vector>
 
+#include "snn/connection.hpp"
 #include "snn/runtime.hpp"
 #include "snn/tensor.hpp"
 #include "util/random.hpp"
@@ -117,13 +119,25 @@ TEST(Kernels, PaddedSizeRoundsUpToStride) {
     EXPECT_EQ(kernels::padded_size(100), 112u);
 }
 
+/// Construction, fill() and the in-place STDP kernels (learn +
+/// normalize) never write a padding lane. wmin > 0 would lift a padding
+/// lane off zero if depression ran over the padded width.
 TEST(Kernels, MatrixPaddingLanesStayZero) {
     Matrix m(3, 13, 0.5f);
     m.fill(2.0f);
-    m.scale_column(4, 3.0f);
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const auto padded = m.padded_row(r);
-        for (std::size_t j = m.cols(); j < padded.size(); ++j)
+    StdpParams params;
+    params.wmin = 0.1f;
+    DenseConnection conn(std::move(m), params, /*norm_total=*/4.0f);
+    const std::vector<std::uint32_t> all_pre = {0, 1, 2};
+    const std::vector<std::uint8_t> all_post(13, 1);
+    for (std::size_t step = 0; step < 3; ++step) {
+        conn.learn(all_pre, all_post);
+        conn.normalize();
+    }
+    const Matrix& w = conn.weights();
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+        const auto padded = w.padded_row(r);
+        for (std::size_t j = w.cols(); j < padded.size(); ++j)
             EXPECT_EQ(padded[j], 0.0f) << "row " << r << " lane " << j;
     }
 }
@@ -474,6 +488,10 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
     NetworkRuntime member_clean(model);
     NetworkRuntime member_patched(model, patched);
     BatchRunner batch(*model, {&member_clean, &member_patched});
+    // STDP training: learn's post-list buffer and normalize's column
+    // scratch are sized once, at set_learning.
+    NetworkRuntime learner(model);
+    learner.set_learning(true);
 
     util::Rng image_rng(31);
     const auto image_a = random_image(image_rng, model->config().n_input);
@@ -484,6 +502,7 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
     // Warm-up: sizes the activity records and the reserved worklists.
     standalone.run_sample_into(image_a, activity);
     batch.run_sample_into(image_a, batch_rng, activities);
+    learner.run_sample_into(image_a, activity);
 
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (std::size_t rep = 0; rep < 3; ++rep) {
@@ -491,6 +510,8 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
         standalone.run_sample_into(image_b, activity);
         batch.run_sample_into(image_a, batch_rng, activities);
         batch.run_sample_into(image_b, batch_rng, activities);
+        learner.run_sample_into(image_a, activity);
+        learner.run_sample_into(image_b, activity);
     }
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before)
