@@ -1,12 +1,12 @@
 // Scheduled-overlay throughput benchmark: static overlays vs compiled
-// glitch schedules, both through the lockstep BatchRunner the fi campaign
-// engine ships.
+// glitch schedules, both through fi::run_lockstep_inference, the
+// scheduler the fi campaign engine ships.
 //
 //   $ ./bench_glitch_campaign [--quick] [--cells=8] [--replicas=2]
 //                             [--segments=2] [--out=BENCH_glitch.json]
 //
 // Every engine evaluates the same cell grid against one shared trained
-// baseline in kBatchCells lockstep batches:
+// baseline in kBatchCells lockstep batches, on one thread:
 //   * static_overlay    — whole-run faults (the glitch pipeline's
 //     degenerate case and the pre-glitch engine's only mode);
 //   * scheduled_overlay — the same faults compiled into N-segment
@@ -18,24 +18,25 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "attack/glitch.hpp"
 #include "core/session.hpp"
 #include "fi/campaign.hpp"
-#include "snn/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace snnfi;
 
 constexpr std::uint64_t kReplicaStream = fi::CampaignEngine::kReplicaStream;
-constexpr std::size_t kBatchCells = fi::CampaignEngine::kBatchCells;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -118,33 +119,29 @@ int main(int argc, char** argv) {
     }
 
     // --- the engines: identical batching, static vs scheduled faults ----
+    // Scheduled cells carry an empty base overlay: their faults arrive
+    // through the schedule, as in the campaign.
+    const std::vector<snn::FaultOverlay> blank_overlays(n_cells);
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t r = 0; r < replicas; ++r)
+        seeds.push_back(util::derive_seed(0xCA30, kReplicaStream + r));
+    std::vector<std::size_t> ids(n_cells);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    util::ThreadPool pool(1);
     const auto run_batched = [&](bool scheduled) {
+        fi::InferenceRound round;
+        round.model = baseline;
+        round.images = std::span(data.images).first(eval_n);
+        round.replica_seeds = seeds;
+        round.overlays = scheduled ? blank_overlays : static_overlays;
+        if (scheduled) round.schedules = schedules;
+        round.cells = ids;
         std::size_t total_spikes = 0;
-        for (std::size_t r = 0; r < replicas; ++r) {
-            for (std::size_t b = 0; b < n_cells; b += kBatchCells) {
-                const std::size_t count = std::min(kBatchCells, n_cells - b);
-                std::vector<snn::NetworkRuntime> runtimes;
-                runtimes.reserve(count);
-                std::vector<snn::NetworkRuntime*> members;
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (scheduled) {
-                        runtimes.emplace_back(baseline);
-                        runtimes.back().set_schedule(schedules[b + k]);
-                    } else {
-                        runtimes.emplace_back(baseline, static_overlays[b + k]);
-                    }
-                }
-                for (auto& runtime : runtimes) members.push_back(&runtime);
-                snn::BatchRunner batch(*baseline, std::move(members));
-                util::Rng rng(util::derive_seed(0xCA30, kReplicaStream + r));
-                std::vector<snn::SampleActivity> activities(batch.size());
-                for (std::size_t i = 0; i < eval_n; ++i) {
-                    batch.run_sample_into(data.images[i], rng, activities);
-                    for (const auto& activity : activities)
-                        total_spikes += activity.total_exc_spikes;
-                }
-            }
-        }
+        fi::run_lockstep_inference(pool, round,
+                                   [&](std::size_t, std::size_t, std::size_t,
+                                       const snn::SampleActivity& activity) {
+                                       total_spikes += activity.total_exc_spikes;
+                                   });
         return total_spikes;
     };
 

@@ -10,8 +10,10 @@
 //   * standalone       — one pre-faulted NetworkRuntime per evaluation,
 //     each running its own encoder stream and dense propagation (what a
 //     campaign would cost without lockstep batching);
-//   * runtime_overlay  — the production path: the same runtimes advanced
-//     in lockstep batches (shared encoder + dense propagation per batch).
+//   * runtime_overlay  — the production path, fi::run_lockstep_inference:
+//     the same faults advanced in lockstep batches over block-encoded
+//     replica streams (one encoding per replica, one dense propagation
+//     per batch and step).
 //
 // Emits the grid as a table and writes BENCH_runtime.json so CI tracks the
 // perf trajectory of the batching scheme that ships in the fi engine.
@@ -19,6 +21,8 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -36,10 +40,9 @@ namespace {
 
 using namespace snnfi;
 
-// Shared with the production campaign engine so the benchmark measures
-// the batching scheme that actually ships.
+// Shared with the production campaign engine so both engines draw the
+// replica streams a campaign would.
 constexpr std::uint64_t kReplicaStream = fi::CampaignEngine::kReplicaStream;
-constexpr std::size_t kBatchCells = fi::CampaignEngine::kBatchCells;
 
 struct GridPoint {
     std::size_t threads = 0;
@@ -156,41 +159,26 @@ int main(int argc, char** argv) {
         });
         return spikes;
     };
-    // Redesign: one pre-faulted runtime per (cell, replica), lockstep
-    // batches sharing the encoder stream and the dense propagation.
+    // Production: the campaign engine's scheduler over the same grid.
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t r = 0; r < replicas; ++r)
+        seeds.push_back(util::derive_seed(0xCA30, kReplicaStream + r));
+    std::vector<std::size_t> ids(cells.size());
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    fi::InferenceRound round;
+    round.model = baseline;
+    round.images = std::span(data.images).first(eval_n);
+    round.replica_seeds = seeds;
+    round.overlays = overlays;
+    round.cells = ids;
     const auto run_runtime_overlay = [&](util::ThreadPool& pool) {
         std::vector<std::size_t> spikes(cells.size() * replicas, 0);
-        struct Task {
-            std::size_t replica;
-            std::size_t begin;
-            std::size_t end;
-        };
-        std::vector<Task> tasks;
-        for (std::size_t r = 0; r < replicas; ++r) {
-            for (std::size_t b = 0; b < cells.size(); b += kBatchCells)
-                tasks.push_back({r, b, std::min(b + kBatchCells, cells.size())});
-        }
-        pool.parallel_for(tasks.size(), [&](std::size_t t) {
-            const Task& task = tasks[t];
-            const std::size_t count = task.end - task.begin;
-            std::vector<snn::NetworkRuntime> runtimes;
-            runtimes.reserve(count);
-            std::vector<snn::NetworkRuntime*> members;
-            for (std::size_t k = 0; k < count; ++k)
-                runtimes.emplace_back(baseline, overlays[task.begin + k]);
-            for (auto& runtime : runtimes) members.push_back(&runtime);
-            snn::BatchRunner batch(*baseline, std::move(members));
-            util::Rng rng(util::derive_seed(0xCA30, kReplicaStream + task.replica));
-            std::vector<std::size_t> totals(count, 0);
-            std::vector<snn::SampleActivity> activities(count);
-            for (std::size_t i = 0; i < eval_n; ++i) {
-                batch.run_sample_into(data.images[i], rng, activities);
-                for (std::size_t k = 0; k < count; ++k)
-                    totals[k] += activities[k].total_exc_spikes;
-            }
-            for (std::size_t k = 0; k < count; ++k)
-                spikes[(task.begin + k) * replicas + task.replica] = totals[k];
-        });
+        fi::run_lockstep_inference(
+            pool, round,
+            [&](std::size_t r, std::size_t c, std::size_t,
+                const snn::SampleActivity& activity) {
+                spikes[c * replicas + r] += activity.total_exc_spikes;
+            });
         return spikes;
     };
 

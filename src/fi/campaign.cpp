@@ -1,9 +1,11 @@
 #include "fi/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +16,7 @@
 #include "snn/runtime.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::fi {
 
@@ -31,7 +34,7 @@ struct FiMetrics {
     obs::Counter& cells;
     obs::Gauge& cells_per_s;
     obs::Histogram& train_ms;
-    obs::Histogram& infer_batch_ms;
+    obs::Histogram& infer_batch_ms;  ///< one (batch, block) of lockstep inference
     obs::Histogram& clean_ms;
 
     static FiMetrics& get() {
@@ -70,16 +73,16 @@ std::string layer_label(const FaultSite& site) {
     return "?";
 }
 
+}  // namespace
+
 /// A clean (fault-free) inference pass over the eval subset with one
 /// replica's encoding stream: the classifier assignments and the paired
 /// reference accuracy for that stream.
-struct CleanReplica {
+struct CampaignEngine::CleanReplica {
     snn::ActivityClassifier classifier{1, kNumClasses};
     double accuracy_pct = 0.0;
     bool built = false;
 };
-
-}  // namespace
 
 std::string CampaignConfig::cache_key() const {
     std::ostringstream os;
@@ -236,6 +239,8 @@ CampaignEngine::CampaignEngine(core::Session& session, CampaignConfig config)
     if (!config_.models.empty() && config_.sites.layers.empty())
         throw std::invalid_argument("CampaignConfig: no target layers");
 }
+
+CampaignEngine::~CampaignEngine() = default;
 
 std::shared_ptr<const CampaignResult> CampaignEngine::run() {
     const core::RunOptions& options = session_.options();
@@ -485,7 +490,13 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                                           plan.cells[c].severity);
     }
 
-    std::vector<CleanReplica> clean(max_reps);
+    // Clean passes persist on the engine across execute() calls: they
+    // depend only on the baseline, the eval set and the replica index.
+    if (clean_baseline_ != plan.baseline) {
+        clean_.clear();
+        clean_baseline_ = plan.baseline;
+    }
+    if (clean_.size() < max_reps) clean_.resize(max_reps);
     const auto build_clean = [&](std::size_t replica) {
         snn::NetworkRuntime runtime(plan.baseline);
         runtime.rng().reseed(
@@ -504,7 +515,7 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             if (classifier.predict(activity[i].exc_counts) == data.labels[i])
                 ++correct;
         }
-        CleanReplica& slot_ref = clean[replica];
+        CleanReplica& slot_ref = clean_[replica];
         slot_ref.classifier = std::move(classifier);
         slot_ref.accuracy_pct =
             100.0 * static_cast<double>(correct) / static_cast<double>(eval_n);
@@ -513,7 +524,7 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     const auto ensure_clean = [&](std::size_t replicas) {
         std::vector<std::size_t> missing;
         for (std::size_t r = 0; r < replicas; ++r) {
-            if (!clean[r].built) missing.push_back(r);
+            if (!clean_[r].built) missing.push_back(r);
         }
         // Capture the span context BEFORE dispatch: the task bodies run on
         // pool workers where this thread's current span is invisible.
@@ -528,12 +539,11 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     };
 
     // Per-cell replica outcomes, grown round by round. Every open cell has
-    // the same replica count each round; a round is cut into fixed-size
-    // lockstep batches (one pre-faulted runtime per cell, shared encoder
-    // and propagation per batch), so results stay byte-identical for any
-    // worker count — and a cell's replica sequence never depends on which
-    // other cells are included, which is what makes shard outputs
-    // bit-identical to single-process runs.
+    // the same replica count each round; run_lockstep_inference cuts a
+    // round into fixed-size batches and blocks, so results stay
+    // byte-identical for any worker count — and a cell's replica sequence
+    // never depends on which other cells are included, which is what
+    // makes shard outputs bit-identical to single-process runs.
     std::vector<std::vector<double>> drops(plan.cells.size());
     std::vector<std::vector<double>> accuracies(plan.cells.size());
     std::vector<std::size_t> open = selected_inference;
@@ -542,84 +552,40 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
         const std::size_t round_replicas =
             replicas_done == 0 ? min_reps : replicas_done + 1;
         ensure_clean(round_replicas);
-        struct Task {
-            std::size_t replica;
-            std::size_t begin;  ///< chunk bounds into `open`
-            std::size_t end;
-        };
-        std::vector<Task> tasks;
-        for (std::size_t r = replicas_done; r < round_replicas; ++r) {
-            for (std::size_t b = 0; b < open.size(); b += kBatchCells)
-                tasks.push_back({r, b, std::min(b + kBatchCells, open.size())});
-        }
-        // Paired (drop_pct, accuracy_pct) per cell of each task's chunk.
-        std::vector<std::vector<std::pair<double, double>>> outcomes(tasks.size());
-        // Cross-thread span hand-off: capture before dispatch (see
-        // obs/span.hpp), so every fi.batch nests under fi.execute even
-        // though it runs on an arbitrary pool worker.
-        const obs::Context exec_ctx = obs::current_context();
-        session_.pool().parallel_for(tasks.size(), [&](std::size_t t) {
-            const Task& task = tasks[t];
-            const std::size_t count = task.end - task.begin;
-            obs::Span batch_span("fi.batch", exec_ctx);
-            batch_span.tag("replica", static_cast<double>(task.replica));
-            batch_span.tag("cells", static_cast<double>(count));
-            const auto batch_start = std::chrono::steady_clock::now();
-            std::vector<snn::NetworkRuntime> runtimes;
-            runtimes.reserve(count);
-            std::vector<snn::NetworkRuntime*> members;
-            members.reserve(count);
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t cell = open[task.begin + k];
-                // Per-cell span: overlay + runtime construction. (The
-                // lockstep propagation below is shared by the whole batch,
-                // so per-cell *inference* time is not separable by design.)
-                obs::Span cell_span("fi.cell");
-                cell_span.tag("cell", static_cast<double>(cell));
-                cell_span.tag("model", plan.cells[cell].model);
-                cell_span.tag("severity", plan.cells[cell].severity);
-                cell_span.tag("replica", static_cast<double>(task.replica));
-                runtimes.emplace_back(plan.baseline, overlays[cell]);
-                if (!plan.schedules[cell].empty())
-                    runtimes.back().set_schedule(plan.schedules[cell]);
-            }
-            for (snn::NetworkRuntime& runtime : runtimes)
-                members.push_back(&runtime);
-            snn::BatchRunner batch(*plan.baseline, std::move(members));
-            util::Rng rng(
-                util::derive_seed(config_.seed, kReplicaStream + task.replica));
-            const snn::ActivityClassifier& reference =
-                clean[task.replica].classifier;
-            std::vector<std::size_t> correct(count, 0);
-            // One reusable activity per batch member: run_sample_into
-            // zeroes them in place, so the sample loop is steady-state
-            // allocation-free.
-            std::vector<snn::SampleActivity> activities(count);
-            for (std::size_t i = 0; i < eval_n; ++i) {
-                batch.run_sample_into(data.images[i], rng, activities);
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (reference.predict(activities[k].exc_counts) ==
-                        data.labels[i])
-                        ++correct[k];
-                }
-            }
-            outcomes[t].reserve(count);
-            for (std::size_t k = 0; k < count; ++k) {
-                const double accuracy_pct = 100.0 *
-                                            static_cast<double>(correct[k]) /
-                                            static_cast<double>(eval_n);
-                outcomes[t].emplace_back(
-                    clean[task.replica].accuracy_pct - accuracy_pct, accuracy_pct);
-            }
-            FiMetrics::get().infer_batch_ms.observe(ms_since(batch_start));
-        });
-        // Merge in task order (replica-major, then chunk, then cell): the
-        // per-cell replica sequence is identical for any worker count.
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-            for (std::size_t k = 0; k < outcomes[t].size(); ++k) {
-                const std::size_t c = open[tasks[t].begin + k];
-                drops[c].push_back(outcomes[t][k].first);
-                accuracies[c].push_back(outcomes[t][k].second);
+        std::vector<std::uint64_t> seeds;
+        for (std::size_t r = replicas_done; r < round_replicas; ++r)
+            seeds.push_back(util::derive_seed(config_.seed, kReplicaStream + r));
+        // Correct predictions per (new replica, open cell); integer sums,
+        // so the block order they accumulate in cannot matter.
+        std::vector<std::size_t> correct(seeds.size() * open.size(), 0);
+        InferenceRound round;
+        round.model = plan.baseline;
+        round.images = std::span(data.images).first(eval_n);
+        round.replica_seeds = seeds;
+        round.overlays = overlays;
+        round.schedules = plan.schedules;
+        round.labels = plan.cells;
+        round.cells = open;
+        run_lockstep_inference(
+            session_.pool(), round,
+            [&](std::size_t j, std::size_t k, std::size_t sample,
+                const snn::SampleActivity& activity) {
+                const snn::ActivityClassifier& reference =
+                    clean_[replicas_done + j].classifier;
+                if (reference.predict(activity.exc_counts) == data.labels[sample])
+                    ++correct[j * open.size() + k];
+            });
+        // Merge replica by replica: each cell's replica sequence is
+        // identical for any worker count.
+        for (std::size_t j = 0; j < seeds.size(); ++j) {
+            for (std::size_t k = 0; k < open.size(); ++k) {
+                const std::size_t c = open[k];
+                const double accuracy_pct =
+                    100.0 * static_cast<double>(correct[j * open.size() + k]) /
+                    static_cast<double>(eval_n);
+                drops[c].push_back(clean_[replicas_done + j].accuracy_pct -
+                                   accuracy_pct);
+                accuracies[c].push_back(accuracy_pct);
             }
         }
         replicas_done = round_replicas;
@@ -656,6 +622,136 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
         FiMetrics::get().cells_per_s.set(
             static_cast<double>(result.cells.size()) / exec_seconds);
     return result;
+}
+
+// ------------------------------------------------------ lockstep inference
+
+void run_lockstep_inference(util::ThreadPool& pool, const InferenceRound& round,
+                            const InferenceSink& sink) {
+    if (!round.model) throw std::invalid_argument("InferenceRound: no model");
+    if (!round.schedules.empty() && round.schedules.size() != round.overlays.size())
+        throw std::invalid_argument("InferenceRound: schedules/overlays mismatch");
+    if (!round.labels.empty() && round.labels.size() != round.overlays.size())
+        throw std::invalid_argument("InferenceRound: labels/overlays mismatch");
+    for (const std::size_t id : round.cells) {
+        if (id >= round.overlays.size())
+            throw std::out_of_range("InferenceRound: cell id out of range");
+    }
+    const snn::NetworkModel& model = *round.model;
+    for (const std::vector<float>& image : round.images) {
+        if (image.size() != model.n_input())
+            throw std::invalid_argument("InferenceRound: image size mismatch");
+    }
+    const std::size_t replicas = round.replica_seeds.size();
+    const std::size_t n_cells = round.cells.size();
+    const std::size_t n_samples = round.images.size();
+    if (replicas == 0 || n_cells == 0 || n_samples == 0) return;
+    const std::size_t steps = model.config().steps_per_sample;
+    const std::size_t batches = (n_cells + kBatchCells - 1) / kBatchCells;
+    constexpr std::size_t kBlock = CampaignEngine::kBlockSamples;
+    const std::size_t blocks = (n_samples + kBlock - 1) / kBlock;
+
+    // Per replica: its encoder stream, continued block after block, and
+    // two block buffers — block q is encoded into buffers[q % 2] while the
+    // batches replay block q - 1 from the other one.
+    struct Stream {
+        util::Rng rng;
+        snn::PoissonEncoder encoder;
+        std::array<std::vector<snn::SpikeRaster>, 2> buffers;
+    };
+    std::vector<Stream> streams;
+    streams.reserve(replicas);
+    for (const std::uint64_t seed : round.replica_seeds)
+        streams.push_back({util::Rng(seed), snn::PoissonEncoder(model.config().encoder),
+                           {}});
+    // Adaptive thresholds of each (replica, cell) between blocks: the only
+    // state an inference runtime carries across a sample boundary.
+    std::vector<std::vector<float>> theta(replicas * n_cells);
+
+    // Cross-thread span hand-off: capture before dispatch (see
+    // obs/span.hpp), so every job nests under the caller's span even
+    // though it runs on an arbitrary pool worker.
+    const obs::Context ctx = obs::current_context();
+    const auto encode_block = [&](std::size_t r, std::size_t q) {
+        obs::Span span("fi.encode", ctx);
+        span.tag("replica", static_cast<double>(r));
+        span.tag("block", static_cast<double>(q));
+        Stream& stream = streams[r];
+        std::vector<snn::SpikeRaster>& buffer = stream.buffers[q % 2];
+        buffer.resize(kBlock);
+        const std::size_t begin = q * kBlock;
+        const std::size_t end = std::min(begin + kBlock, n_samples);
+        for (std::size_t i = begin; i < end; ++i) {
+            stream.encoder.set_image(round.images[i]);
+            stream.encoder.encode(stream.rng, steps, buffer[i - begin]);
+        }
+    };
+    const auto infer_block = [&](std::size_t r, std::size_t b, std::size_t q) {
+        const std::size_t first = b * kBatchCells;
+        const std::size_t count = std::min(kBatchCells, n_cells - first);
+        obs::Span batch_span("fi.batch", ctx);
+        batch_span.tag("replica", static_cast<double>(r));
+        batch_span.tag("cells", static_cast<double>(count));
+        batch_span.tag("block", static_cast<double>(q));
+        const auto batch_start = std::chrono::steady_clock::now();
+        std::vector<snn::NetworkRuntime> runtimes;
+        runtimes.reserve(count);
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::size_t id = round.cells[first + k];
+            // One fi.cell span per (cell, replica): overlay + runtime
+            // construction of its first block. (The lockstep propagation
+            // is shared by the batch, so per-cell *inference* time is not
+            // separable by design.)
+            std::optional<obs::Span> cell_span;
+            if (q == 0) {
+                cell_span.emplace("fi.cell");
+                cell_span->tag("cell", static_cast<double>(id));
+                if (!round.labels.empty()) {
+                    cell_span->tag("model", round.labels[id].model);
+                    cell_span->tag("severity", round.labels[id].severity);
+                }
+                cell_span->tag("replica", static_cast<double>(r));
+            }
+            runtimes.emplace_back(round.model, round.overlays[id]);
+            if (!round.schedules.empty() && !round.schedules[id].empty())
+                runtimes.back().set_schedule(round.schedules[id]);
+            if (q > 0) runtimes.back().set_exc_theta(theta[r * n_cells + first + k]);
+        }
+        std::vector<snn::NetworkRuntime*> members;
+        members.reserve(count);
+        for (snn::NetworkRuntime& runtime : runtimes) members.push_back(&runtime);
+        snn::BatchRunner batch(model, std::move(members));
+        std::vector<snn::SampleActivity> activities(count);
+        const std::vector<snn::SpikeRaster>& buffer = streams[r].buffers[q % 2];
+        const std::size_t begin = q * kBlock;
+        const std::size_t end = std::min(begin + kBlock, n_samples);
+        for (std::size_t i = begin; i < end; ++i) {
+            batch.run_sample_into(buffer[i - begin], activities);
+            for (std::size_t k = 0; k < count; ++k) sink(r, first + k, i, activities[k]);
+        }
+        if (q + 1 < blocks) {
+            for (std::size_t k = 0; k < count; ++k) {
+                const std::span<const float> carried = runtimes[k].exc_theta();
+                theta[r * n_cells + first + k].assign(carried.begin(), carried.end());
+            }
+        }
+        FiMetrics::get().infer_batch_ms.observe(ms_since(batch_start));
+    };
+
+    for (std::size_t q = 0; q <= blocks; ++q) {
+        // Encode jobs come first: the pool hands indices out in order, so
+        // the next block's encoding starts before any batch of this one.
+        const std::size_t encode_jobs = q < blocks ? replicas : 0;
+        const std::size_t infer_jobs = q > 0 ? replicas * batches : 0;
+        pool.parallel_for(encode_jobs + infer_jobs, [&](std::size_t job) {
+            if (job < encode_jobs) {
+                encode_block(job, q);
+            } else {
+                const std::size_t t = job - encode_jobs;
+                infer_block(t / batches, t % batches, q - 1);
+            }
+        });
+    }
 }
 
 }  // namespace snnfi::fi

@@ -6,11 +6,15 @@
 //     the cache counters prove it) and frozen into an immutable
 //     snn::NetworkModel shared by every injection;
 //   * inference-time models (stuck-at, bit-flip, dead/saturated neuron,
-//     refractory stretch) each get ONE pre-faulted snn::NetworkRuntime per
-//     (cell, replica) — a FaultOverlay over the shared model, no baseline
-//     snapshot/restore, no weight copy — and runtimes are advanced in
-//     lockstep batches (snn::BatchRunner) so the Poisson encoding and the
-//     dense input propagation are computed once per batch, not per cell;
+//     refractory stretch) run as pre-faulted snn::NetworkRuntimes — a
+//     FaultOverlay over the shared model, no baseline snapshot/restore, no
+//     weight copy — advanced in lockstep batches of kBatchCells cells
+//     (snn::BatchRunner) so the dense input propagation is computed once
+//     per batch, not per cell. run_lockstep_inference walks the eval set
+//     block-major (kBlockSamples samples per block): each replica's
+//     Poisson stream is encoded once per block into a double buffer and
+//     replayed by all of that replica's batches, which rebuild their
+//     runtimes per block and carry only the adaptive thresholds across;
 //   * drift models (trains_under_fault()) are routed through the
 //     AttackSuite's train-under-fault pipeline, so the paper's attacks
 //     fall out as special cases with identical numbers;
@@ -24,8 +28,11 @@
 //     early once the 95% CI of its accuracy drop is tight (statistical
 //     early stopping), bounded by max_replicas.
 //
-// All replica seeds are index-derived and batch composition is fixed, so
-// campaign output is byte-identical for any worker count. Results cache in
+// All replica seeds are index-derived and batch and block composition are
+// fixed, so campaign output is byte-identical for any worker count. The
+// clean reference passes are memoised on the engine, so repeated
+// run_cells calls (a shard worker's checkpoint chunks) compute each
+// replica's clean pass once. Results cache in
 // the Session keyed by the campaign config, so several scenarios can
 // present one campaign (detail table, sensitivity map) without
 // re-executing it.
@@ -33,17 +40,23 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "attack/glitch.hpp"
 #include "fi/fault.hpp"
 #include "fi/sites.hpp"
+#include "snn/model.hpp"
 #include "util/table.hpp"
 
 namespace snnfi::core {
 class Session;
+}
+namespace snnfi::util {
+class ThreadPool;
 }
 
 namespace snnfi::fi {
@@ -158,12 +171,16 @@ struct CampaignResult {
 
 class CampaignEngine {
 public:
-    /// Replicas advanced in one lockstep batch (shared encoder + dense
-    /// propagation). Fixed — batch composition must not depend on the
+    /// Cells advanced in one lockstep batch (shared dense propagation).
+    /// Fixed — batch composition must not depend on the
     /// worker count, or campaign output would stop being byte-identical
-    /// across machines. Shared with bench_runtime_replicas so the
-    /// benchmark measures the engine that actually ships.
+    /// across machines.
     static constexpr std::size_t kBatchCells = 8;
+    /// Eval samples per block of run_lockstep_inference: each replica
+    /// stream is encoded one block ahead of its batches. Fixed for the
+    /// same reason as kBatchCells; it bounds the raster buffers to
+    /// 2 * kBlockSamples samples per replica.
+    static constexpr std::size_t kBlockSamples = 16;
     /// Stream id offset separating replica rng seeds from everything else
     /// derived from the campaign seed.
     static constexpr std::uint64_t kReplicaStream = 0x5EED0000;
@@ -171,6 +188,7 @@ public:
     /// The session provides the thread pool, the cached trained baseline
     /// and the result cache; it must outlive the engine.
     CampaignEngine(core::Session& session, CampaignConfig config);
+    ~CampaignEngine();
 
     const CampaignConfig& config() const noexcept { return config_; }
 
@@ -197,11 +215,50 @@ public:
 
 private:
     struct Plan;
+    /// One replica stream's clean pass: classifier + reference accuracy.
+    struct CleanReplica;
     Plan make_plan();
     CampaignResult execute(Plan& plan, const std::vector<char>& include);
 
     core::Session& session_;
     CampaignConfig config_;
+    /// Clean passes built so far, by replica index, valid for the baseline
+    /// in clean_baseline_ (a different baseline drops them).
+    std::vector<CleanReplica> clean_;
+    std::shared_ptr<const snn::NetworkModel> clean_baseline_;
 };
+
+/// One round of faulted lockstep inference: every listed cell under every
+/// replica encoder stream, over the same eval images.
+struct InferenceRound {
+    std::shared_ptr<const snn::NetworkModel> model;   ///< shared by every cell
+    std::span<const std::vector<float>> images;       ///< the eval stream, in order
+    std::span<const std::uint64_t> replica_seeds;     ///< one encoder stream each
+    std::span<const snn::FaultOverlay> overlays;      ///< per cell id
+    std::span<const snn::OverlaySchedule> schedules;  ///< per cell id, or empty
+    std::span<const CellResult> labels;  ///< per cell id (span tags), or empty
+    std::span<const std::size_t> cells;  ///< cell ids to run, in batch order
+};
+
+/// Receives one sample's activity for one (replica, cell): `replica`
+/// indexes replica_seeds, `slot` indexes cells. Calls for distinct pairs
+/// may run concurrently; calls for one pair arrive in sample order.
+using InferenceSink =
+    std::function<void(std::size_t replica, std::size_t slot, std::size_t sample,
+                       const snn::SampleActivity& activity)>;
+
+/// The campaign's inference scheduler. Cells are cut into fixed batches
+/// of CampaignEngine::kBatchCells per replica; the images into fixed
+/// blocks of CampaignEngine::kBlockSamples. One parallel_for per block
+/// encodes the next block of every replica stream into one half of a
+/// double buffer while each (replica, batch) advances over the current
+/// block from the other half. Each block rebuilds its batch's runtimes
+/// from the overlays/schedules and restores their adaptive thresholds, so
+/// no runtime outlives a block. Every activity equals what one BatchRunner
+/// per (replica, batch) produces over the whole image + Rng stream — for
+/// any worker count. Emits fi.encode, fi.batch (per block) and fi.cell
+/// (one per cell and replica) spans.
+void run_lockstep_inference(util::ThreadPool& pool, const InferenceRound& round,
+                            const InferenceSink& sink);
 
 }  // namespace snnfi::fi

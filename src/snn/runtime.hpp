@@ -23,9 +23,12 @@
 // overlay at step boundaries (the glitch pipeline's execution layer).
 //
 // BatchRunner advances several inference runtimes in lockstep over ONE
-// shared Poisson stream: the dense input propagation over the shared
+// shared input raster: the dense input propagation over the shared
 // weights is computed once per timestep and reused by every replica in
-// the batch — the campaign engine's batched-inference fast path.
+// the batch — the campaign engine's batched-inference fast path. Between
+// samples an inference runtime keeps only its adaptive thresholds
+// (exc_theta), so a runtime rebuilt from the same overlay/schedule with
+// set_exc_theta() continues a stream exactly where another left off.
 #pragma once
 
 #include <cstddef>
@@ -142,6 +145,11 @@ public:
     util::Rng& rng() noexcept { return rng_; }
     float driver_gain() const noexcept { return driver_gain_; }
     std::span<const float> exc_theta() const noexcept { return exc_theta_; }
+    /// Overwrites the excitatory adaptive thresholds, the one piece of
+    /// inference state that survives a sample boundary (throws
+    /// std::invalid_argument unless theta.size() == n_neurons). Lets a
+    /// caller rebuild a runtime mid-stream instead of keeping it alive.
+    void set_exc_theta(std::span<const float> theta);
     /// Effective weight row (materialised patches included).
     std::span<const float> weight_row(std::size_t pre) const;
 
@@ -294,11 +302,11 @@ private:
 };
 
 /// Lockstep batch evaluation of several inference replicas of ONE model
-/// over one shared Poisson stream. Per timestep the dense propagation over
+/// over one shared input raster. Per timestep the dense propagation over
 /// the shared weight matrix is computed once and broadcast; each replica
-/// then applies its own overlay state. Amortising the encoder and the
-/// propagation across the batch is the fi campaign's >= 2x speedup over
-/// the legacy snapshot/restore engine.
+/// then applies its own overlay state. Amortising the propagation (and,
+/// through run_sample_into(raster), the encoding) across the batch is the
+/// fi campaign's >= 2x speedup over the legacy snapshot/restore engine.
 class BatchRunner {
 public:
     /// All runtimes must share `model`, be inference-mode (learning never
@@ -315,18 +323,26 @@ public:
     std::vector<SampleActivity> run_sample(std::span<const float> image,
                                            util::Rng& rng);
 
-    /// Allocation-free variant: one caller-owned activity per replica
-    /// (activities.size() must equal size()). Records already sized to
-    /// n_neurons are zeroed in place — reuse them across samples and the
-    /// batch loop performs no heap allocation at steady state.
+    /// Encodes `image` from `rng` into a member raster and replays it
+    /// through run_sample_into(raster, activities). Sizes are checked
+    /// before any draw, so a throwing call leaves `rng` untouched.
     void run_sample_into(std::span<const float> image, util::Rng& rng,
+                         std::span<SampleActivity> activities);
+
+    /// The step loop: replays an already-encoded raster (exactly
+    /// steps_per_sample steps, ascending indices below n_input) on every
+    /// replica, one caller-owned activity per replica (activities.size()
+    /// must equal size()). Throws std::invalid_argument before touching
+    /// any replica. Records already sized to n_neurons are zeroed in
+    /// place, so reusing them keeps the loop allocation-free.
+    void run_sample_into(const SpikeRaster& raster,
                          std::span<SampleActivity> activities);
 
 private:
     const NetworkModel& model_;
     std::vector<NetworkRuntime*> runtimes_;
     PoissonEncoder encoder_;
-    std::vector<std::uint32_t> active_;
+    SpikeRaster raster_;  ///< the image overload's encoded sample
     /// Padded shared drive buffer + per-row pointer table over the model
     /// matrix for the blocked accumulation kernel.
     AlignedVector base_drive_;
