@@ -33,10 +33,15 @@ void BM_LuSolve(benchmark::State& state) {
         a(r, r) += static_cast<double>(n);  // diagonally dominant
         b[r] = rng.uniform(-1.0, 1.0);
     }
+    // The Simulator's Newton loop: one factorization and one solution
+    // buffer, reused on every iteration.
+    spice::LuFactorization lu;
+    std::vector<double> x(n);
     for (auto _ : state) {
-        spice::LuFactorization lu;
         lu.factorize(a);
-        benchmark::DoNotOptimize(lu.solve(b));
+        lu.solve_into(b, x);
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
     }
     state.SetComplexityN(state.range(0));
 }

@@ -1,5 +1,6 @@
 #include "circuits/dummy_neuron.hpp"
 
+#include <cstddef>
 #include <stdexcept>
 
 #include "spice/engine.hpp"
@@ -33,16 +34,19 @@ double measure_dummy_spike_period(const DummyNeuronConfig& config, double vdd) {
 
 std::vector<DummyNeuronReading> dummy_neuron_sweep(const DummyNeuronConfig& config,
                                                    const std::vector<double>& vdds,
-                                                   double nominal_vdd) {
-    const double nominal_period = measure_dummy_spike_period(config, nominal_vdd);
-    const double nominal_count = config.sampling_window / nominal_period;
+                                                   double nominal_vdd,
+                                                   util::ThreadPool* pool) {
+    const GridMeasurement periods = measure_grid(
+        nominal_vdd, vdds, "dummy", to_string(config.kind),
+        [&](double vdd) { return measure_dummy_spike_period(config, vdd); }, pool);
+    const double nominal_count = config.sampling_window / periods.nominal;
 
     std::vector<DummyNeuronReading> readings;
     readings.reserve(vdds.size());
-    for (double vdd : vdds) {
+    for (std::size_t i = 0; i < vdds.size(); ++i) {
         DummyNeuronReading r;
-        r.vdd = vdd;
-        r.spike_period = measure_dummy_spike_period(config, vdd);
+        r.vdd = vdds[i];
+        r.spike_period = periods.values[i];
         r.spike_count = config.sampling_window / r.spike_period;
         r.deviation_pct = 100.0 * (r.spike_count - nominal_count) / nominal_count;
         readings.push_back(r);

@@ -40,8 +40,11 @@ struct DummyNeuronReading {
 double measure_dummy_spike_period(const DummyNeuronConfig& config, double vdd);
 
 /// Full VDD sweep with deviations referenced to `nominal_vdd` (Fig. 10c).
+/// The nominal and every distinct VDD are simulated once, as one
+/// measure_grid batch over `pool` (serial when nullptr).
 std::vector<DummyNeuronReading> dummy_neuron_sweep(const DummyNeuronConfig& config,
                                                    const std::vector<double>& vdds,
-                                                   double nominal_vdd = 1.0);
+                                                   double nominal_vdd = 1.0,
+                                                   util::ThreadPool* pool = nullptr);
 
 }  // namespace snnfi::circuits

@@ -103,10 +103,11 @@ ScenarioSpec fig10c_spec() {
     spec.description = "Spike-count deviation vs VDD";
     spec.tags = {"figure", "defense", "detector"};
     spec.paper_order = 160;
-    spec.custom_run = [](Session&, const RunOptions& options) {
+    spec.custom_run = [](Session& session, const RunOptions& options) {
         defense::DetectorConfig config;
         defense::DummyNeuronDetector detector(config);
-        const auto readings = detector.sweep(paper_vdd_grid(options.quick));
+        const auto readings =
+            detector.sweep(paper_vdd_grid(options.quick), &session.pool());
         ResultTable table("Fig. 10c — Dummy-neuron output vs VDD (detector)",
                           {"vdd_V", "spike_count_100ms", "deviation_pct", "flagged"});
         table.add_note("Paper: >= 10% deviation in dummy output spike count flags a "
@@ -170,7 +171,7 @@ ScenarioSpec overheads_spec() {
     spec.paper_order = 180;
     spec.custom_run = [](Session& session, const RunOptions&) {
         defense::OverheadAnalyzer analyzer(*session.characterizer());
-        const auto reports = analyzer.all();
+        const auto reports = analyzer.all(200, 100, &session.pool());
         ResultTable table("Defense overheads (§V summary)",
                           {"defense", "power_overhead_pct", "area_overhead_pct",
                            "paper_power_pct", "paper_area_pct"});

@@ -31,8 +31,10 @@ public:
 
     const DetectorConfig& config() const noexcept { return config_; }
 
-    /// Characterises the golden count, then evaluates each VDD (Fig. 10c).
-    std::vector<DetectorReading> sweep(const std::vector<double>& vdds) const;
+    /// Characterises the golden count and evaluates each VDD (Fig. 10c),
+    /// as one dummy_neuron_sweep batch over `pool` (serial when nullptr).
+    std::vector<DetectorReading> sweep(const std::vector<double>& vdds,
+                                       util::ThreadPool* pool = nullptr) const;
 
     /// Detection decision for a single observed count.
     bool flags(double observed_count, double golden_count) const;

@@ -48,9 +48,12 @@ public:
     /// (paper: ~1% power and area).
     OverheadReport dummy_neuron(std::size_t neurons_per_layer) const;
 
-    /// All five, in paper order.
+    /// All five, in paper order. Their seven distinct power simulations
+    /// run once each, as one circuits::simulate_batch over `pool` (serial
+    /// when nullptr); every report equals its single-report method.
     std::vector<OverheadReport> all(std::size_t total_neurons = 200,
-                                    std::size_t neurons_per_layer = 100) const;
+                                    std::size_t neurons_per_layer = 100,
+                                    util::ThreadPool* pool = nullptr) const;
 
 private:
     const circuits::Characterizer* circuits_;

@@ -18,37 +18,45 @@ double DcSolution::voltage(const std::string& node_name) const {
 
 Simulator::Simulator(Netlist& netlist, SimOptions options)
     : netlist_(netlist), options_(options) {
-    netlist_.finalize();
+    prepare();
+}
+
+void Simulator::prepare() {
+    // Adding a device or a node resets the netlist's unknown count to 0.
+    // finalize() is idempotent, so re-running it on an empty netlist is harmless.
+    if (netlist_.num_unknowns() == 0) netlist_.finalize();
+    const auto n = static_cast<std::size_t>(netlist_.num_unknowns());
+    if (g_.rows() == n) return;
+    g_ = Matrix(n, n);
+    rhs_.assign(n, 0.0);
+    x_new_.assign(n, 0.0);
 }
 
 bool Simulator::newton_solve(std::vector<double>& x, double t, double dt, double gmin,
                              double source_scale, double relax) {
     const int n = netlist_.num_unknowns();
     const int num_nodes = netlist_.num_nodes();
-    Matrix g(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-    std::vector<double> rhs(static_cast<std::size_t>(n));
-    LuFactorization lu;
 
     const bool needs_iteration = netlist_.any_nonlinear();
     const int max_iters = needs_iteration ? options_.max_nr_iterations : 2;
 
     for (int iter = 0; iter < max_iters; ++iter) {
-        g.fill(0.0);
-        std::fill(rhs.begin(), rhs.end(), 0.0);
-        Stamper stamper(g, rhs, x, num_nodes, t, dt, options_.method, source_scale,
+        g_.fill(0.0);
+        std::fill(rhs_.begin(), rhs_.end(), 0.0);
+        Stamper stamper(g_, rhs_, x, num_nodes, t, dt, options_.method, source_scale,
                         relax);
         for (const auto& dev : netlist_.devices()) dev->stamp(stamper);
         // Permanent gmin from every node to ground stabilises floating nodes.
         for (int node = 0; node < num_nodes; ++node)
-            g(static_cast<std::size_t>(node), static_cast<std::size_t>(node)) += gmin;
+            g_(static_cast<std::size_t>(node), static_cast<std::size_t>(node)) += gmin;
 
-        if (!lu.factorize(g)) return false;
-        const std::vector<double> x_new = lu.solve(rhs);
+        if (!lu_.factorize(g_)) return false;
+        lu_.solve_into(rhs_, x_new_);
 
         double max_delta = 0.0;
         bool converged = true;
         for (int k = 0; k < n; ++k) {
-            double delta = x_new[static_cast<std::size_t>(k)] - x[static_cast<std::size_t>(k)];
+            double delta = x_new_[static_cast<std::size_t>(k)] - x[static_cast<std::size_t>(k)];
             const bool is_node_voltage = k < num_nodes;
             if (is_node_voltage) {
                 // Damp large voltage updates (SPICE-style limiting). Linear
@@ -75,6 +83,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double dt, double
 }
 
 DcSolution Simulator::solve_dc() {
+    prepare();
     const int n = netlist_.num_unknowns();
     std::vector<double> x(static_cast<std::size_t>(n), 0.0);
 
@@ -167,9 +176,9 @@ TransientResult Simulator::run_transient(double t_stop, double dt) {
         double step = std::min(dt, t_stop - t);
         int halvings = 0;
         for (;;) {
-            std::vector<double> x_try = x;
-            if (newton_solve(x_try, t + step, step, options_.gmin, 1.0)) {
-                x = std::move(x_try);
+            x_try_ = x;
+            if (newton_solve(x_try_, t + step, step, options_.gmin, 1.0)) {
+                x.swap(x_try_);
                 break;
             }
             if (++halvings > options_.max_step_halvings)

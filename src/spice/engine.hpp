@@ -35,6 +35,12 @@ private:
     const Netlist* netlist_;
 };
 
+/// Runs analyses on one netlist. The simulator owns the Newton workspace
+/// (MNA matrix, right-hand side, LU factors, iterate buffers), sized from
+/// the netlist's unknown count, so repeated Newton iterations and analyses
+/// allocate nothing. Devices added to the netlist after construction are
+/// picked up by the next analysis. A Simulator is single-threaded: run
+/// independent simulations on independent instances.
 class Simulator {
 public:
     explicit Simulator(Netlist& netlist, SimOptions options = {});
@@ -52,6 +58,9 @@ public:
     SimOptions& options() noexcept { return options_; }
 
 private:
+    /// Re-finalizes the netlist if a device was added since the last
+    /// analysis and sizes the workspace to its unknown count.
+    void prepare();
     /// One Newton solve at fixed (t, dt). Starts from `x` and updates it
     /// in place. Returns true on convergence.
     bool newton_solve(std::vector<double>& x, double t, double dt, double gmin,
@@ -59,6 +68,12 @@ private:
 
     Netlist& netlist_;
     SimOptions options_;
+    // Newton workspace, reused by every iteration of every analysis.
+    Matrix g_;
+    std::vector<double> rhs_;
+    LuFactorization lu_;
+    std::vector<double> x_new_;
+    std::vector<double> x_try_;
 };
 
 }  // namespace snnfi::spice

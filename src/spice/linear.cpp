@@ -1,6 +1,8 @@
 #include "spice/linear.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace snnfi::spice {
@@ -45,16 +47,18 @@ std::vector<double> Matrix::multiply(std::span<const double> x) const {
 bool LuFactorization::factorize(const Matrix& a) {
     if (a.rows() != a.cols()) throw std::invalid_argument("LuFactorization: non-square");
     n_ = a.rows();
-    lu_ = a;
+    lu_ = a;  // reuses the existing storage when the dimension is unchanged
     pivot_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) pivot_[i] = i;
 
+    double* const lu = lu_.data();
     for (std::size_t k = 0; k < n_; ++k) {
+        double* const row_k = lu + k * n_;
         // Partial pivot: largest magnitude in column k at/below the diagonal.
         std::size_t best = k;
-        double best_mag = std::abs(lu_(k, k));
+        double best_mag = std::abs(row_k[k]);
         for (std::size_t r = k + 1; r < n_; ++r) {
-            const double mag = std::abs(lu_(r, k));
+            const double mag = std::abs(lu[r * n_ + k]);
             if (mag > best_mag) {
                 best_mag = mag;
                 best = r;
@@ -63,34 +67,49 @@ bool LuFactorization::factorize(const Matrix& a) {
         if (best_mag < 1e-300) return false;  // numerically singular
         if (best != k) {
             std::swap(pivot_[k], pivot_[best]);
-            for (std::size_t c = 0; c < n_; ++c) std::swap(lu_(k, c), lu_(best, c));
+            std::swap_ranges(row_k, row_k + n_, lu + best * n_);
         }
-        const double diag_inv = 1.0 / lu_(k, k);
+        const double diag_inv = 1.0 / row_k[k];
         for (std::size_t r = k + 1; r < n_; ++r) {
-            const double factor = lu_(r, k) * diag_inv;
-            lu_(r, k) = factor;
+            double* const row_r = lu + r * n_;
+            const double factor = row_r[k] * diag_inv;
+            row_r[k] = factor;
             if (factor == 0.0) continue;
-            for (std::size_t c = k + 1; c < n_; ++c) lu_(r, c) -= factor * lu_(k, c);
+            // Each element is updated once from row k: the elements are
+            // independent, so the order of this loop cannot change a result.
+            for (std::size_t c = k + 1; c < n_; ++c) row_r[c] -= factor * row_k[c];
         }
     }
     return true;
 }
 
-std::vector<double> LuFactorization::solve(std::span<const double> b) const {
-    if (b.size() != n_) throw std::invalid_argument("LuFactorization::solve: size mismatch");
-    std::vector<double> x(n_);
+void LuFactorization::solve_into(std::span<const double> b, std::span<double> x) const {
+    if (b.size() != n_ || x.size() != n_)
+        throw std::invalid_argument("LuFactorization::solve_into: size mismatch");
+    const std::less<const double*> before;
+    if (n_ > 0 && before(b.data(), x.data() + n_) && before(x.data(), b.data() + n_))
+        throw std::invalid_argument("LuFactorization::solve_into: b overlaps x");
+    const double* const lu = lu_.data();
+    double* const out = x.data();
     // Forward substitution with row permutation.
     for (std::size_t r = 0; r < n_; ++r) {
+        const double* const row = lu + r * n_;
         double acc = b[pivot_[r]];
-        for (std::size_t c = 0; c < r; ++c) acc -= lu_(r, c) * x[c];
-        x[r] = acc;
+        for (std::size_t c = 0; c < r; ++c) acc -= row[c] * out[c];
+        out[r] = acc;
     }
     // Backward substitution.
     for (std::size_t r = n_; r-- > 0;) {
-        double acc = x[r];
-        for (std::size_t c = r + 1; c < n_; ++c) acc -= lu_(r, c) * x[c];
-        x[r] = acc / lu_(r, r);
+        const double* const row = lu + r * n_;
+        double acc = out[r];
+        for (std::size_t c = r + 1; c < n_; ++c) acc -= row[c] * out[c];
+        out[r] = acc / row[r];
     }
+}
+
+std::vector<double> LuFactorization::solve(std::span<const double> b) const {
+    std::vector<double> x(n_);
+    solve_into(b, x);
     return x;
 }
 

@@ -25,6 +25,9 @@ public:
     double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
     void fill(double value);
+    /// Row-major storage, rows() * cols() elements.
+    double* data() noexcept { return data_.data(); }
+    const double* data() const noexcept { return data_.data(); }
     std::span<double> row(std::size_t r);
     std::span<const double> row(std::size_t r) const;
 
@@ -39,12 +42,20 @@ private:
 
 /// In-place LU factorisation with partial pivoting.
 /// Returns false if the matrix is numerically singular.
+///
+/// One instance can be reused across factorisations: once it has held a
+/// matrix of a given dimension, refactorising one of the same dimension
+/// allocates nothing.
 class LuFactorization {
 public:
     /// Factorises a copy of `a` (must be square).
     bool factorize(const Matrix& a);
-    /// Solves A x = b using the stored factors. factorize() must have
-    /// succeeded. b.size() must equal the matrix dimension.
+    /// Solves A x = b into `x` using the stored factors. factorize() must
+    /// have succeeded. b.size() and x.size() must equal the matrix
+    /// dimension and b must not overlap x; otherwise throws
+    /// std::invalid_argument and leaves `x` untouched.
+    void solve_into(std::span<const double> b, std::span<double> x) const;
+    /// solve_into() into a new vector.
     std::vector<double> solve(std::span<const double> b) const;
 
     std::size_t dimension() const noexcept { return n_; }

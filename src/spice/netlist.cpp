@@ -11,6 +11,7 @@ NodeId Netlist::node(const std::string& name) {
     const NodeId id = static_cast<NodeId>(node_names_.size());
     node_ids_.emplace(name, id);
     node_names_.push_back(name);
+    num_unknowns_ = 0;  // branch rows follow the node rows: invalidate finalize()
     return id;
 }
 

@@ -5,6 +5,7 @@
 #include "defense/defenses.hpp"
 #include "defense/detector.hpp"
 #include "defense/overhead.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::defense {
 namespace {
@@ -60,7 +61,54 @@ TEST(Detector, DetectionEdges) {
     EXPECT_GT(high, 1.0);  // some high-side voltage trips
 }
 
+TEST(Detector, PooledSweepMatchesSerial) {
+    DetectorConfig config;
+    config.cell.sim_window = 60e-6;
+    DummyNeuronDetector detector(config);
+    const std::vector<double> vdds = {1.2, 1.0, 0.8, 1.0};
+    util::ThreadPool pool(4);
+    const auto serial = detector.sweep(vdds);
+    const auto pooled = detector.sweep(vdds, &pool);
+    ASSERT_EQ(serial.size(), vdds.size());
+    ASSERT_EQ(pooled.size(), vdds.size());
+    for (std::size_t i = 0; i < vdds.size(); ++i) {
+        EXPECT_EQ(serial[i].vdd, pooled[i].vdd);
+        EXPECT_EQ(serial[i].spike_count, pooled[i].spike_count);
+        EXPECT_EQ(serial[i].deviation_pct, pooled[i].deviation_pct);
+        EXPECT_EQ(serial[i].flagged, pooled[i].flagged);
+    }
+}
+
 // ---------------------------------------------------------------- overhead
+void expect_same_report(const OverheadReport& expected, const OverheadReport& actual) {
+    EXPECT_EQ(expected.defense, actual.defense);
+    EXPECT_EQ(expected.baseline_power_w, actual.baseline_power_w) << expected.defense;
+    EXPECT_EQ(expected.secured_power_w, actual.secured_power_w) << expected.defense;
+    EXPECT_EQ(expected.power_overhead_pct, actual.power_overhead_pct) << expected.defense;
+    EXPECT_EQ(expected.baseline_area_um2, actual.baseline_area_um2) << expected.defense;
+    EXPECT_EQ(expected.secured_area_um2, actual.secured_area_um2) << expected.defense;
+    EXPECT_EQ(expected.area_overhead_pct, actual.area_overhead_pct) << expected.defense;
+    EXPECT_EQ(expected.paper_power_overhead_pct, actual.paper_power_overhead_pct)
+        << expected.defense;
+    EXPECT_EQ(expected.paper_area_note, actual.paper_area_note) << expected.defense;
+}
+
+TEST(Overhead, AllEqualsSingleReports) {
+    // all() batches the distinct power simulations; every report must equal
+    // its single-report method, field for field, with or without a pool.
+    OverheadAnalyzer analyzer(shared_characterizer());
+    const std::vector<OverheadReport> singles = {
+        analyzer.robust_driver(), analyzer.transistor_sizing(32.0),
+        analyzer.comparator_ah(), analyzer.bandgap(150), analyzer.dummy_neuron(80)};
+    util::ThreadPool pool(4);
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+        const auto reports = analyzer.all(150, 80, p);
+        ASSERT_EQ(reports.size(), singles.size());
+        for (std::size_t i = 0; i < singles.size(); ++i)
+            expect_same_report(singles[i], reports[i]);
+    }
+}
+
 TEST(Overhead, ComparatorCostsPower) {
     OverheadAnalyzer analyzer(shared_characterizer());
     const auto report = analyzer.comparator_ah();
