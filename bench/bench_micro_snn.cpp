@@ -24,6 +24,23 @@ void BM_PoissonEncoderStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonEncoderStep);
 
+void BM_EncodedStreamDecode(benchmark::State& state) {
+    // Replays one 250-step sample of the image above from a packed
+    // stream: what a training group pays per sample instead of encoding.
+    constexpr std::size_t kSteps = 250;
+    util::Rng rng(5);
+    data::SyntheticDigitsConfig cfg;
+    const std::vector<std::vector<float>> images = {data::render_digit(8, rng, cfg)};
+    const snn::EncodedStream stream(images, rng, {}, kSteps);
+    snn::SpikeRaster raster;
+    for (auto _ : state) {
+        stream.decode(0, raster);
+        benchmark::DoNotOptimize(raster.indices.data());
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSteps));
+}
+BENCHMARK(BM_EncodedStreamDecode);
+
 void BM_RenderDigit(benchmark::State& state) {
     util::Rng rng(5);
     data::SyntheticDigitsConfig cfg;

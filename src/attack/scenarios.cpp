@@ -33,11 +33,22 @@ const std::shared_ptr<const snn::NetworkModel>& AttackSuite::seed_model() {
     return seed_model_;
 }
 
+const snn::EncodedStream& AttackSuite::training_stream() {
+    std::call_once(training_stream_once_, [this] {
+        const snn::NetworkModel& seed = *seed_model();
+        util::Rng rng = seed.init_rng();
+        training_stream_ = std::make_unique<const snn::EncodedStream>(
+            dataset_->images, rng, seed.config().encoder, seed.config().steps_per_sample);
+    });
+    return *training_stream_;
+}
+
 double AttackSuite::baseline_accuracy() {
     if (!baseline_) {
+        const snn::EncodedStream& stream = training_stream();
         snn::NetworkRuntime runtime(seed_model());
         snn::Trainer trainer(runtime, config_.eval_window);
-        baseline_ = trainer.run(*dataset_);
+        baseline_ = trainer.run_group(*dataset_, stream).front();
         baseline_model_ = runtime.freeze();
     }
     return baseline_->train_accuracy;
@@ -111,6 +122,7 @@ std::vector<snn::TrainResult> AttackSuite::train_points(
     std::vector<snn::TrainResult> results(points);
     if (points == 0) return results;
     const std::shared_ptr<const snn::NetworkModel>& seed = seed_model();
+    const snn::EncodedStream& stream = training_stream();
 
     const auto train_group = [&](std::size_t begin, std::size_t end) {
         // A deque never moves its elements, so member pointers stay valid.
@@ -128,7 +140,7 @@ std::vector<snn::TrainResult> AttackSuite::train_points(
             };
         }
         std::vector<snn::TrainResult> trained =
-            trainer.run_group(*dataset_, nullptr, member_hook);
+            trainer.run_group(*dataset_, stream, nullptr, member_hook);
         std::move(trained.begin(), trained.end(),
                   results.begin() + static_cast<std::ptrdiff_t>(begin));
     };

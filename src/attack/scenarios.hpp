@@ -11,16 +11,18 @@
 // Every sweep point trains a fresh Diehl&Cook network under the fault and
 // reports the online accuracy (the paper's metric) next to the attack-free
 // baseline. All points start from the same seed model, so they consume the
-// same encoder stream: a sweep splits its points into one contiguous
-// lockstep group per worker, and each group encodes every training sample
-// once and replays it on all its members (snn::Trainer). Results do not
-// depend on the grouping.
+// same encoder stream: the suite encodes the training pass once into an
+// snn::EncodedStream, a sweep splits its points into one contiguous
+// lockstep group per worker, and every group (and the baseline) replays
+// that stream on all its members (snn::Trainer). Results do not depend on
+// the grouping.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -99,6 +101,12 @@ public:
     /// of this shared model instead of snapshot/restoring a network.
     std::shared_ptr<const snn::NetworkModel> baseline_model();
 
+    /// The training pass every point and the baseline replay: the dataset
+    /// encoded once from the seed model's init_rng(). Built on first use,
+    /// once, thread-safely; a suite whose baseline was adopted and that
+    /// trains no point never builds it.
+    const snn::EncodedStream& training_stream();
+
     /// Runs one fault configuration.
     AttackOutcome run(const FaultSpec& fault);
     /// Runs many fault configurations in parallel: training-phase points
@@ -139,7 +147,8 @@ private:
     using PointHook = std::function<void(std::size_t point, snn::NetworkRuntime& runtime,
                                          std::size_t sample)>;
     /// Trains one seed-model replica per overlay on the dataset and returns
-    /// their results in overlay order. The points are split into
+    /// their results in overlay order. The training stream is acquired in
+    /// the calling thread; the points are split into
     /// min(points, workers) contiguous lockstep groups, one pool task per
     /// group; inside a pool job (where a nested parallel_for runs
     /// serially) all points form one group.
@@ -156,6 +165,8 @@ private:
     std::shared_ptr<const snn::Dataset> dataset_;
     AttackRunConfig config_;
     std::shared_ptr<const snn::NetworkModel> seed_model_;
+    std::once_flag training_stream_once_;
+    std::unique_ptr<const snn::EncodedStream> training_stream_;
     std::optional<snn::TrainResult> baseline_;
     std::shared_ptr<const snn::NetworkModel> baseline_model_;
     util::ThreadPool* pool_ = nullptr;  ///< not owned; optional shared pool

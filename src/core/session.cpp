@@ -305,12 +305,21 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
         config.max_workers = options_.max_workers;
         auto suite = std::make_shared<attack::AttackSuite>(std::move(data), config);
         suite->set_thread_pool(&pool_);
+        if (phase == attack::AttackPhase::kInferenceOnly) {
+            // The baseline training is phase-independent: adopt the
+            // training-phase suite's (cached, loaded or trained there), so
+            // one Session trains each baseline once.
+            const auto trained =
+                attack_suite(overrides, attack::AttackPhase::kTrainingAndInference);
+            suite->adopt_baseline(trained->baseline_model(), trained->baseline_result());
+            return suite;
+        }
         if (store_) {
-            // The baseline training is phase-independent, so the store key
-            // deliberately drops `phase` (both phases share one blob) and
-            // instead pins everything the trained model depends on: the
-            // full topology config, the dataset identity, and the training
-            // knobs.
+            // Only the training phase reaches the store (the inference
+            // phase adopts its baseline above), so the store key has no
+            // `phase`; it pins everything the trained model depends on:
+            // the full topology config, the dataset identity, and the
+            // training knobs.
             std::ostringstream bk;
             bk << store::network_config_key(config.network)
                << "|samples=" << samples << "|data_seed=" << data_seed

@@ -5,6 +5,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
+
 namespace snnfi::snn {
 
 PoissonEncoder::PoissonEncoder(PoissonEncoderConfig config) : config_(config) {}
@@ -65,6 +68,9 @@ void PoissonEncoder::step(util::Rng& rng, std::vector<std::uint32_t>& out) const
 }
 
 void PoissonEncoder::encode(util::Rng& rng, std::size_t steps, SpikeRaster& out) const {
+    static obs::Counter& encoded_samples =
+        obs::Registry::global().counter("snn.encode.samples");
+    encoded_samples.add();
     const std::size_t n_active = active_pixels_.size();
     if (n_active != 0 && steps > std::numeric_limits<std::uint32_t>::max() / n_active)
         throw std::length_error("PoissonEncoder::encode: raster exceeds 2^32 spikes");
@@ -100,6 +106,142 @@ void SpikeRaster::validate(std::size_t steps, std::size_t n_input) const {
                     "SpikeRaster: indices not ascending below n_input");
         }
     }
+}
+
+namespace {
+
+/// Writes `value` as LEB128 at `cursor` (room for 5 bytes); returns the
+/// byte past it.
+inline std::uint8_t* put_varint(std::uint32_t value, std::uint8_t* cursor) {
+    while (value >= 0x80) {
+        *cursor++ = static_cast<std::uint8_t>(value | 0x80);
+        value >>= 7;
+    }
+    *cursor++ = static_cast<std::uint8_t>(value);
+    return cursor;
+}
+
+/// Bounds-checked LEB128 reader over one packed raster.
+class VarintReader {
+public:
+    explicit VarintReader(std::span<const std::uint8_t> bytes)
+        : cursor_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+    std::uint32_t next() {
+        // Most values are gaps below 128: one byte, no continuation.
+        if (cursor_ != end_ && *cursor_ < 0x80) return *cursor_++;
+        return next_multibyte();
+    }
+    bool done() const noexcept { return cursor_ == end_; }
+
+private:
+    std::uint32_t next_multibyte() {
+        std::uint32_t value = 0;
+        for (int shift = 0;; shift += 7) {
+            if (cursor_ == end_)
+                throw std::invalid_argument("unpack_raster: truncated input");
+            const std::uint8_t byte = *cursor_++;
+            // The fifth byte may carry only the top 4 bits and must end.
+            if (shift == 28 && byte > 0x0F)
+                throw std::invalid_argument("unpack_raster: value past 32 bits");
+            value |= static_cast<std::uint32_t>(byte & 0x7F) << shift;
+            if ((byte & 0x80) == 0) {
+                if (byte == 0 && shift > 0)
+                    throw std::invalid_argument("unpack_raster: overlong value");
+                return value;
+            }
+        }
+    }
+
+    const std::uint8_t* cursor_;
+    const std::uint8_t* end_;
+};
+
+}  // namespace
+
+void pack_raster(const SpikeRaster& raster, std::vector<std::uint8_t>& out) {
+    // Room for the worst case, 5 bytes per count and per gap; trimmed below.
+    const std::size_t base = out.size();
+    out.resize(base + 5 * (raster.steps() + raster.indices.size()));
+    std::uint8_t* cursor = out.data() + base;
+    for (std::size_t t = 0; t < raster.steps(); ++t) {
+        const std::span<const std::uint32_t> row = raster.at(t);
+        cursor = put_varint(static_cast<std::uint32_t>(row.size()), cursor);
+        std::uint32_t next = 0;  // smallest index the row may still hold
+        for (const std::uint32_t index : row) {
+            if (index < next) {
+                out.resize(base);
+                throw std::invalid_argument("pack_raster: indices not ascending");
+            }
+            cursor = put_varint(index - next, cursor);
+            next = index + 1;
+        }
+    }
+    out.resize(static_cast<std::size_t>(cursor - out.data()));
+}
+
+void unpack_raster(std::span<const std::uint8_t> bytes, std::size_t steps,
+                   std::size_t n_input, SpikeRaster& out) {
+    if (bytes.size() > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("unpack_raster: input past 2^32 bytes");
+    VarintReader reader(bytes);
+    out.offsets.resize(steps + 1);
+    out.offsets[0] = 0;
+    // Every index takes at least one byte, so the input size bounds the
+    // spike total: size once, write through a pointer, trim at the end.
+    out.indices.resize(bytes.size());
+    std::uint32_t* indices = out.indices.data();
+    std::size_t total = 0;
+    for (std::size_t t = 0; t < steps; ++t) {
+        // A row lists distinct indices below n_input.
+        const std::size_t count = reader.next();
+        if (count > n_input)
+            throw std::invalid_argument("unpack_raster: spike count out of range");
+        std::uint64_t next = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::uint64_t index = next + reader.next();
+            if (index >= n_input)
+                throw std::invalid_argument("unpack_raster: index >= n_input");
+            indices[total++] = static_cast<std::uint32_t>(index);
+            next = index + 1;
+        }
+        out.offsets[t + 1] = static_cast<std::uint32_t>(total);
+    }
+    if (!reader.done()) throw std::invalid_argument("unpack_raster: trailing bytes");
+    out.indices.resize(total);
+}
+
+EncodedStream::EncodedStream(std::span<const std::vector<float>> images, util::Rng& rng,
+                             PoissonEncoderConfig config, std::size_t steps)
+    : config_(config),
+      steps_(steps),
+      n_input_(images.empty() ? 0 : images.front().size()),
+      start_(rng.snapshot()) {
+    for (const std::vector<float>& image : images) {
+        if (image.size() != n_input_)
+            throw std::invalid_argument("EncodedStream: images differ in size");
+    }
+    obs::Span span("snn.stream");
+    PoissonEncoder encoder(config_);
+    SpikeRaster raster;
+    std::vector<std::uint8_t> packed;
+    samples_.reserve(images.size());
+    for (const std::vector<float>& image : images) {
+        encoder.set_image(image);
+        encoder.encode(rng, steps_, raster);
+        packed.clear();
+        pack_raster(raster, packed);
+        samples_.emplace_back(packed.begin(), packed.end());
+        bytes_ += packed.size();
+    }
+    end_ = rng.snapshot();
+    span.tag("samples", static_cast<double>(samples_.size()));
+    span.tag("bytes", static_cast<double>(bytes_));
+}
+
+void EncodedStream::decode(std::size_t i, SpikeRaster& out) const {
+    if (i >= samples_.size()) throw std::out_of_range("EncodedStream::decode: index");
+    unpack_raster(samples_[i], steps_, n_input_, out);
 }
 
 }  // namespace snnfi::snn

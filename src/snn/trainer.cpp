@@ -1,6 +1,7 @@
 #include "snn/trainer.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace snnfi::snn {
@@ -55,28 +56,45 @@ TrainResult Trainer::run(const Dataset& train, const Dataset* test,
 
 std::vector<TrainResult> Trainer::run_group(const Dataset& train, const Dataset* test,
                                             const MemberSampleHook& hook) {
+    const DiehlCookConfig& config = members_.front()->config();
+    util::Rng rng = members_.front()->rng();
+    const EncodedStream stream(train.images, rng, config.encoder, config.steps_per_sample);
+    return run_group(train, stream, test, hook);
+}
+
+std::vector<TrainResult> Trainer::run_group(const Dataset& train,
+                                            const EncodedStream& stream,
+                                            const Dataset* test,
+                                            const MemberSampleHook& hook) {
     if (train.images.size() != train.labels.size())
         throw std::invalid_argument("Trainer::run: images/labels size mismatch");
     if (train.size() == 0) throw std::invalid_argument("Trainer::run: empty dataset");
     if (eval_window_ == 0) throw std::invalid_argument("Trainer::run: zero window");
-    const util::Rng::Snapshot start = members_.front()->rng().snapshot();
+    const DiehlCookConfig& config = members_.front()->config();
+    const auto matches = [&](const EncodedStream& s, std::size_t samples) {
+        return s.size() == samples && s.steps() == config.steps_per_sample &&
+               s.n_input() == config.n_input && s.config() == config.encoder;
+    };
+    if (!matches(stream, train.size()))
+        throw std::invalid_argument(
+            "Trainer: stream does not match the training set or the members");
     for (NetworkRuntime* member : members_) {
-        if (member->rng().snapshot() != start)
+        if (member->rng().snapshot() != stream.start())
             throw std::invalid_argument(
-                "Trainer: members start from different RNG streams");
+                "Trainer: a member's RNG state differs from the stream start");
+    }
+    // The held-out pass continues the training stream; encoding it up
+    // front keeps every check ahead of the first member update.
+    std::optional<EncodedStream> test_stream;
+    if (test != nullptr && test->size() > 0) {
+        util::Rng rng;
+        rng.restore(stream.end());
+        test_stream.emplace(test->images, rng, config.encoder, config.steps_per_sample);
+        if (!matches(*test_stream, test->size()) || test->labels.size() != test->size())
+            throw std::invalid_argument("Trainer: test images do not match the members");
     }
 
-    const DiehlCookConfig& config = members_.front()->config();
-    util::Rng stream = members_.front()->rng();
-    PoissonEncoder encoder(config.encoder);
     SpikeRaster raster;
-    const auto encode = [&](std::span<const float> image) {
-        if (image.size() != config.n_input)
-            throw std::invalid_argument("run_sample: image size mismatch");
-        encoder.set_image(image);
-        encoder.encode(stream, config.steps_per_sample, raster);
-    };
-
     std::vector<MemberRecord> state;
     state.reserve(members_.size());
     for (NetworkRuntime* member : members_) {
@@ -87,7 +105,7 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train, const Dataset*
 
     bool assignments_ready = false;
     for (std::size_t i = 0; i < train.size(); ++i) {
-        encode(train.images[i]);
+        stream.decode(i, raster);
         for (std::size_t m = 0; m < members_.size(); ++m) {
             if (hook) hook(m, i);
             MemberRecord& s = state[m];
@@ -133,12 +151,12 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train, const Dataset*
         s.records = {};
     }
 
-    if (test != nullptr && test->size() > 0) {
+    if (test_stream) {
         for (NetworkRuntime* member : members_) member->set_learning(false);
         std::vector<std::size_t> test_correct(members_.size(), 0);
         SampleActivity activity;
         for (std::size_t i = 0; i < test->size(); ++i) {
-            encode(test->images[i]);
+            test_stream->decode(i, raster);
             for (std::size_t m = 0; m < members_.size(); ++m) {
                 members_[m]->run_sample_into(raster, activity);
                 if (state[m].retro.predict(activity.exc_counts) == test->labels[i])
@@ -152,10 +170,12 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train, const Dataset*
         }
     }
 
+    const util::Rng::Snapshot& final_state =
+        test_stream ? test_stream->end() : stream.end();
     std::vector<TrainResult> results;
     results.reserve(members_.size());
     for (std::size_t m = 0; m < members_.size(); ++m) {
-        members_[m]->rng() = stream;
+        members_[m]->rng().restore(final_state);
         results.push_back(state[m].result);
     }
     return results;

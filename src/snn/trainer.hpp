@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "snn/classifier.hpp"
+#include "snn/encoding.hpp"
 #include "snn/network.hpp"
 #include "snn/runtime.hpp"
 
@@ -46,10 +47,9 @@ using MemberSampleHook = std::function<void(std::size_t member, std::size_t inde
 ///
 /// Every member must start from the same rng() state; the stream is the
 /// encoder's only consumer, so all members would draw the same input
-/// spikes. The group encodes each sample once into a SpikeRaster and every
-/// member replays it — each member's TrainResult, weights, theta and final
-/// rng() are bit-identical to training it alone. A single runtime is a
-/// group of one.
+/// spikes. The group replays each sample of one EncodedStream on every
+/// member — each member's TrainResult, weights, theta and final rng() are
+/// bit-identical to training it alone. A single runtime is a group of one.
 class Trainer {
 public:
     /// Trains a Model/Runtime replica: the runtime's learning mode is
@@ -62,13 +62,22 @@ public:
     explicit Trainer(std::vector<NetworkRuntime*> members,
                      std::size_t eval_window = 250);
 
-    /// Trains the group on `train` (single pass, learning on), computing
-    /// each member's online windowed accuracy and retrospective accuracy;
-    /// when `test` is non-null, also evaluates on the held-out set with
-    /// learning frozen. Results are in member order. Throws
-    /// std::invalid_argument when the members' rng() states differ. On
-    /// return every member's rng() holds the group stream's final state,
-    /// so freeze() captures what solo training would have left.
+    /// Trains the group on `train` (single pass, learning on) by replaying
+    /// `stream`, which must hold train's images encoded from the members'
+    /// rng() state; computes each member's online windowed accuracy and
+    /// retrospective accuracy. When `test` is non-null, also evaluates on
+    /// the held-out set with learning frozen, over a second stream that
+    /// continues from stream.end(). Results are in member order. Before it
+    /// touches any member, throws std::invalid_argument when a member's
+    /// rng() differs from stream.start(), or the stream's size, steps,
+    /// input size or encoder config differ from the members'. On return
+    /// every member's rng() holds the final stream state, so freeze()
+    /// captures what solo training would have left.
+    std::vector<TrainResult> run_group(const Dataset& train, const EncodedStream& stream,
+                                       const Dataset* test = nullptr,
+                                       const MemberSampleHook& hook = {});
+
+    /// Encodes `train` from the first member's rng() and replays it.
     std::vector<TrainResult> run_group(const Dataset& train,
                                        const Dataset* test = nullptr,
                                        const MemberSampleHook& hook = {});

@@ -7,6 +7,8 @@
 #include "attack/fault_model.hpp"
 #include "attack/scenarios.hpp"
 #include "data/synthetic_digits.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "snn/classifier.hpp"
 #include "snn/runtime.hpp"
 #include "snn/trainer.hpp"
@@ -365,6 +367,34 @@ TEST(AttackSuite, SharesASessionDatasetWithoutCopying) {
     EXPECT_NE(&truncated.dataset(), shared.get());
     EXPECT_EQ(truncated.dataset().size(), 40u);
     EXPECT_EQ(shared->size(), 60u);
+}
+
+TEST(AttackSuite, EncodesTheTrainingPassOnce) {
+    // Telemetry counts every encoded sample and records one snn.stream
+    // span per stream built; the suite must build exactly one across the
+    // baseline, a grouped run_many and a grouped run_scheduled_many.
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    obs::reset_trace();
+    const auto dataset = data::make_synthetic_dataset(60, 42);
+    AttackSuite suite(dataset, small_config(3));
+    (void)suite.baseline_accuracy();
+    const snn::EncodedStream* stream = &suite.training_stream();
+    (void)suite.run_many(mixed_faults());
+    (void)suite.run_scheduled_many({{{}, 0.0, 0.5}, {{}, 0.5, 1.0}, {{}, 0.2, 0.4}});
+    EXPECT_EQ(&suite.training_stream(), stream);
+    EXPECT_EQ(stream->size(), dataset.size());
+
+    const std::uint64_t encoded =
+        obs::Registry::global().counter("snn.encode.samples").value();
+    std::size_t streams = 0;
+    for (const obs::TraceEventRecord& event : obs::trace_events())
+        streams += event.name == "snn.stream" ? 1 : 0;
+    obs::set_enabled(false);
+    obs::Registry::global().reset();
+    obs::reset_trace();
+    EXPECT_EQ(encoded, dataset.size());
+    EXPECT_EQ(streams, 1u);
 }
 
 TEST(ToString, LayerNames) {

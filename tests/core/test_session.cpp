@@ -8,6 +8,8 @@
 #include <set>
 
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace snnfi::core {
 namespace {
@@ -94,6 +96,43 @@ TEST(Session, SharedBaselineTrainedExactlyOnceAcrossAttackTag) {
         EXPECT_GE(results[r].cache_hits, 1u) << results[r].id;
     }
     EXPECT_GE(session.cache_hits(), 2u);
+}
+
+TEST(Session, StorelessInferencePhaseAdoptsTheTrainingBaseline) {
+    // A training scenario and ablation_inference share one baseline: the
+    // inference-phase suite adopts the training-phase suite's, so the
+    // Session trains once (one session.train span).
+    obs::set_enabled(true);
+    obs::reset_trace();
+    Session session(tiny_options(2));
+    const auto results = session.run_selector("baseline,ablation_inference");
+    std::size_t trains = 0;
+    for (const obs::TraceEventRecord& event : obs::trace_events())
+        trains += event.name == "session.train" ? 1 : 0;
+    obs::set_enabled(false);
+    obs::Registry::global().reset();
+    obs::reset_trace();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(trains, 1u);
+
+    const auto trained = session.attack_suite();
+    const auto inference =
+        session.attack_suite(WorkloadOverrides{}, attack::AttackPhase::kInferenceOnly);
+    EXPECT_EQ(inference->baseline_model().get(), trained->baseline_model().get());
+
+    // Unchanged results: a suite that trains its own baseline, as the
+    // inference phase did before, gives the same outcomes.
+    attack::AttackSuite standalone(inference->dataset(), inference->config());
+    attack::FaultSpec fault;
+    fault.layer = attack::TargetLayer::kInhibitory;
+    fault.threshold_delta = -0.2;
+    const auto adopted = inference->run_many({fault}).front();
+    const auto retrained = standalone.run_many({fault}).front();
+    EXPECT_EQ(adopted.accuracy, retrained.accuracy);
+    EXPECT_EQ(adopted.degradation_pct, retrained.degradation_pct);
+    EXPECT_EQ(adopted.exc_spikes_per_sample, retrained.exc_spikes_per_sample);
+    EXPECT_EQ(results[1].table.to_json(),
+              Session(tiny_options(2)).run("ablation_inference").table.to_json());
 }
 
 TEST(Session, RunManyDeterministicAcrossWorkerCounts) {
