@@ -1,7 +1,13 @@
 // Telemetry overhead benchmark: the fi campaign engine with telemetry
 // disabled (the shipping default) vs enabled, same cells, same seeds.
 //
-//   $ ./bench_obs [--quick] [--reps=3] [--out=BENCH_obs.json]
+//   $ ./bench_obs [--quick] [--reps=5] [--out=BENCH_obs.json]
+//
+// One grid pass takes only tens of milliseconds, so each timed
+// repetition repeats the grid until it covers at least kMinRepSeconds
+// per mode, alternating the modes pass by pass (the leading mode
+// alternates per repetition), and the reported ratio is the median of
+// the per-repetition ratios.
 //
 // The instrumented hot paths (session cache counters, store timers, the
 // per-cell/per-batch spans in fi::CampaignEngine) are compiled in
@@ -13,7 +19,9 @@
 // 3% of the disabled baseline (overhead_ratio >= 0.97). Gating the
 // within-process ratio — not absolute cells/s — keeps the gate portable
 // across runners (see bench/baselines/README.md).
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -27,11 +35,15 @@
 #include "obs/span.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace snnfi;
+
+/// Least campaign work timed per mode in one repetition.
+constexpr double kMinRepSeconds = 0.3;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -44,7 +56,7 @@ int main(int argc, char** argv) {
     util::ArgParser parser(
         "Telemetry overhead benchmark (campaign engine, obs off vs on)");
     parser.add_flag("quick", "Small grid for CI smoke runs");
-    parser.add_option("reps", "3", "Timing repetitions (min taken, absorbs noise)");
+    parser.add_option("reps", "5", "Timing repetitions (median ratio reported)");
     parser.add_option("samples", "240", "Baseline training samples");
     parser.add_option("neurons", "48", "Neurons per layer");
     parser.add_option("eval-samples", "48", "Inference samples per evaluation");
@@ -90,42 +102,58 @@ int main(int argc, char** argv) {
     const auto run_once = [&] { return engine.run_cells(all_cells); };
 
     // Warm-up trains the baseline and touches first-use allocations in
-    // both modes; the minimum over alternating repetitions absorbs
-    // scheduler noise on shared runners.
-    const std::size_t reps =
-        std::max<std::size_t>(1, static_cast<std::size_t>(parser.get_int("reps")));
+    // both modes; one more disabled pass sizes the repetitions.
     obs::set_enabled(false);
     (void)run_once();
     obs::set_enabled(true);
     (void)run_once();
+    obs::set_enabled(false);
+    const auto probe_start = std::chrono::steady_clock::now();
+    const std::size_t cells = run_once().cells.size();
+    const double pass_s = seconds_since(probe_start);
+    const auto passes = static_cast<std::size_t>(
+        std::max(1.0, std::ceil(kMinRepSeconds / std::max(pass_s, 1e-6))));
     obs::Registry::global().reset();
     obs::reset_trace();
 
-    double disabled_s = 0.0;
-    double enabled_s = 0.0;
-    std::size_t cells = 0;
-    std::size_t trace_events = 0;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-        obs::set_enabled(false);
-        auto start = std::chrono::steady_clock::now();
-        cells = run_once().cells.size();
-        const double off = seconds_since(start);
-        disabled_s = rep == 0 ? off : std::min(disabled_s, off);
-
-        obs::set_enabled(true);
-        start = std::chrono::steady_clock::now();
+    const auto time_pass = [&](bool enabled) {
+        obs::set_enabled(enabled);
+        const auto start = std::chrono::steady_clock::now();
         (void)run_once();
-        const double on = seconds_since(start);
-        enabled_s = rep == 0 ? on : std::min(enabled_s, on);
-        trace_events = obs::trace_event_count();
-        // Drain per-rep so buffered spans never grow across repetitions
+        return seconds_since(start);
+    };
+
+    const std::size_t reps =
+        std::max<std::size_t>(1, static_cast<std::size_t>(parser.get_int("reps")));
+    std::size_t trace_events = 0;
+    std::vector<double> ratios;
+    std::vector<double> disabled_pass_s;
+    std::vector<double> enabled_pass_s;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+        // The modes alternate pass by pass, so drift on the scale of a
+        // repetition (frequency scaling, a noisy neighbour) lands on both
+        // alike; which mode leads alternates per repetition.
+        const bool enabled_first = rep % 2 == 1;
+        double off = 0.0;
+        double on = 0.0;
+        for (std::size_t pass = 0; pass < 2 * passes; ++pass) {
+            const bool enabled = (pass % 2 == 0) == enabled_first;
+            (enabled ? on : off) += time_pass(enabled);
+        }
+        ratios.push_back(on > 0.0 ? off / on : 0.0);
+        disabled_pass_s.push_back(off / static_cast<double>(passes));
+        enabled_pass_s.push_back(on / static_cast<double>(passes));
+        trace_events = obs::trace_event_count() / passes;
+        // Drain per rep so buffered spans never grow across repetitions
         // (the cost of *recording*, not of an ever-larger buffer).
         obs::Registry::global().reset();
         obs::reset_trace();
     }
     obs::set_enabled(false);
 
-    const double overhead_ratio = enabled_s > 0.0 ? disabled_s / enabled_s : 0.0;
+    const double overhead_ratio = util::median(ratios);
+    const double disabled_s = util::median(disabled_pass_s);
+    const double enabled_s = util::median(enabled_pass_s);
     const double disabled_cells_per_s =
         disabled_s > 0.0 ? static_cast<double>(cells) / disabled_s : 0.0;
     const double enabled_cells_per_s =
@@ -137,7 +165,9 @@ int main(int argc, char** argv) {
                              "overhead_ratio", "enabled_cells_per_s"});
     std::ostringstream note;
     note << "baseline trained once (session cache: " << session.cache_misses()
-         << " miss(es)); " << trace_events << " trace event(s) per enabled rep, "
+         << " miss(es)); " << reps << " rep(s) x " << passes
+         << " grid pass(es) per mode, median ratio, ms per pass; "
+         << trace_events << " trace event(s) per enabled pass, "
          << options.n_neurons << " neurons/layer, " << eval_samples
          << " eval samples";
     table.add_note(note.str());
@@ -150,7 +180,8 @@ int main(int argc, char** argv) {
          << ",\"workload\":{\"train_samples\":" << options.train_samples
          << ",\"neurons\":" << options.n_neurons
          << ",\"eval_samples\":" << eval_samples << ",\"cells\":" << cells
-         << ",\"trace_events\":" << trace_events
+         << ",\"trace_events\":" << trace_events << ",\"reps\":" << reps
+         << ",\"passes\":" << passes
          << "},\"disabled_ms\":" << util::json_number(disabled_s * 1000.0)
          << ",\"enabled_ms\":" << util::json_number(enabled_s * 1000.0)
          << ",\"overhead_ratio\":" << util::json_number(overhead_ratio)

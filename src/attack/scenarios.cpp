@@ -264,49 +264,6 @@ std::vector<AttackOutcome> AttackSuite::run_many(const std::vector<FaultSpec>& f
     return outcomes;
 }
 
-std::vector<AttackOutcome> AttackSuite::attack1_theta(
-    const std::vector<double>& gain_deltas) {
-    std::vector<FaultSpec> faults;
-    faults.reserve(gain_deltas.size());
-    for (const double delta : gain_deltas) {
-        FaultSpec fault;
-        fault.layer = TargetLayer::kNone;
-        fault.driver_gain = 1.0 + delta;
-        faults.push_back(fault);
-    }
-    return run_many(faults);
-}
-
-std::vector<AttackOutcome> AttackSuite::attack_layer_grid(
-    TargetLayer layer, const std::vector<double>& deltas,
-    const std::vector<double>& fractions) {
-    std::vector<FaultSpec> faults;
-    faults.reserve(deltas.size() * fractions.size());
-    for (const double delta : deltas) {
-        for (const double fraction : fractions) {
-            FaultSpec fault;
-            fault.layer = layer;
-            fault.fraction = fraction;
-            fault.threshold_delta = delta;
-            faults.push_back(fault);
-        }
-    }
-    return run_many(faults);
-}
-
-std::vector<AttackOutcome> AttackSuite::attack4_both(const std::vector<double>& deltas) {
-    std::vector<FaultSpec> faults;
-    faults.reserve(deltas.size());
-    for (const double delta : deltas) {
-        FaultSpec fault;
-        fault.layer = TargetLayer::kBoth;
-        fault.fraction = 1.0;
-        fault.threshold_delta = delta;
-        faults.push_back(fault);
-    }
-    return run_many(faults);
-}
-
 std::vector<AttackOutcome> AttackSuite::attack5_vdd(const VddCalibration& calibration,
                                                     const std::vector<double>& vdds) {
     std::vector<FaultSpec> faults;

@@ -129,16 +129,9 @@ public:
     /// the suite; pass nullptr to detach.
     void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
 
-    // --- paper sweeps ----------------------------------------------------
-    /// Attack 1, Fig. 7b: theta (driver gain) deltas, e.g. {-.2,-.1,.1,.2}.
-    std::vector<AttackOutcome> attack1_theta(const std::vector<double>& gain_deltas);
-    /// Attacks 2/3, Figs. 8a/8b: threshold deltas x fractions on one layer.
-    std::vector<AttackOutcome> attack_layer_grid(TargetLayer layer,
-                                                 const std::vector<double>& deltas,
-                                                 const std::vector<double>& fractions);
-    /// Attack 4, Fig. 8c: both layers at 100%.
-    std::vector<AttackOutcome> attack4_both(const std::vector<double>& deltas);
-    /// Attack 5, Fig. 9a: VDD sweep through the calibration bridge.
+    /// Attack 5, Fig. 9a: VDD sweep through the calibration bridge (the
+    /// defense replays' entry point; the other paper sweeps are declarative
+    /// Session scenarios, core/scenario.hpp).
     std::vector<AttackOutcome> attack5_vdd(const VddCalibration& calibration,
                                            const std::vector<double>& vdds);
 

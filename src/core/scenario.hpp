@@ -32,8 +32,7 @@ namespace snnfi::core {
 
 class Session;
 
-/// Workload + execution knobs shared by every experiment. (Formerly
-/// core::ExperimentOptions, which is now an alias kept for compatibility.)
+/// Workload + execution knobs shared by every experiment.
 struct RunOptions {
     // SNN-side knobs.
     std::size_t train_samples = 1000;

@@ -24,7 +24,6 @@
 #include "circuits/current_driver.hpp"    // IWYU pragma: export
 #include "circuits/dummy_neuron.hpp" // IWYU pragma: export
 #include "circuits/vamp_if.hpp"      // IWYU pragma: export
-#include "core/experiments.hpp"      // IWYU pragma: export
 #include "core/scenario.hpp"         // IWYU pragma: export
 #include "core/session.hpp"          // IWYU pragma: export
 #include "data/idx.hpp"              // IWYU pragma: export

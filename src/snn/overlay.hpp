@@ -76,7 +76,7 @@ public:
                                   std::span<const std::size_t> neurons, float scale);
     /// BindsNET semantics: scales the raw negative-mV threshold value by
     /// (1 + delta); converted to a distance scale against the target
-    /// layer's params at apply time (shared formula with LifLayer).
+    /// layer's params at apply time (threshold_value_delta_scale).
     FaultOverlay& shift_threshold_value(OverlayLayer layer,
                                         std::span<const std::size_t> neurons,
                                         float delta);

@@ -158,21 +158,17 @@ TEST(AttackSuite, InhibitoryAttackWorseThanExcitatory) {
 
 TEST(AttackSuite, Attack1ThetaIsMild) {
     auto suite = tiny_suite();
-    const auto outcomes = suite.attack1_theta({-0.2, 0.2});
+    std::vector<FaultSpec> faults;
+    for (const double delta : {-0.2, 0.2}) {
+        FaultSpec fault;  // driver gain only, no threshold fault
+        fault.driver_gain = 1.0 + delta;
+        faults.push_back(fault);
+    }
+    const auto outcomes = suite.run_many(faults);
     for (const auto& o : outcomes) {
         EXPECT_GT(o.accuracy, 0.5 * suite.baseline_accuracy())
             << "gain=" << o.fault.driver_gain;
     }
-}
-
-TEST(AttackSuite, GridShapesAndMetadata) {
-    auto suite = tiny_suite();
-    const auto grid = suite.attack_layer_grid(TargetLayer::kExcitatory,
-                                              {-0.2, 0.2}, {0.5, 1.0});
-    ASSERT_EQ(grid.size(), 4u);
-    EXPECT_EQ(grid[0].fault.layer, TargetLayer::kExcitatory);
-    EXPECT_DOUBLE_EQ(grid[0].fault.threshold_delta, -0.2);
-    EXPECT_DOUBLE_EQ(grid[1].fault.fraction, 1.0);
 }
 
 TEST(AttackSuite, Attack5UsesCalibration) {

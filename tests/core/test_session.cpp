@@ -154,11 +154,17 @@ TEST(Session, DeclarativeSweepShapesMatchSpec) {
     const auto& spec = ScenarioRegistry::instance().find("fig8a");
     ASSERT_EQ(spec.axes.size(), 2u);
     const RunResult result = session.run(spec);
-    // quick grids: 2 deltas x 2 fractions.
-    EXPECT_EQ(result.table.num_rows(), 4u);
+    // quick grids: 2 deltas x 2 fractions, the last axis varying fastest.
+    ASSERT_EQ(result.table.num_rows(), 4u);
     EXPECT_EQ(result.table.columns()[0], "threshold_change_pct");
     EXPECT_EQ(result.table.columns()[1], "fraction_pct");
     EXPECT_EQ(result.table.columns().back(), "degradation_pct");
+    const double deltas[] = {-20.0, -20.0, 20.0, 20.0};
+    const double fractions[] = {50.0, 100.0, 50.0, 100.0};
+    for (std::size_t r = 0; r < 4; ++r) {
+        EXPECT_DOUBLE_EQ(result.table.number_at(r, 0), deltas[r]) << "row " << r;
+        EXPECT_DOUBLE_EQ(result.table.number_at(r, 1), fractions[r]) << "row " << r;
+    }
 
     // VDD sweeps expose the calibration bridge columns.
     const RunResult vdd = session.run("fig9a");

@@ -6,7 +6,7 @@
 
 #include "attack/calibration.hpp"
 #include "attack/scenarios.hpp"
-#include "core/experiments.hpp"
+#include "core/session.hpp"
 #include "data/synthetic_digits.hpp"
 #include "defense/defenses.hpp"
 
@@ -65,17 +65,24 @@ TEST_F(EndToEnd, AttackRankingMatchesPaper) {
 
 TEST_F(EndToEnd, ThetaAttackMildAsInFig7b) {
     auto suite = make_suite();
-    const auto outcomes = suite.attack1_theta({-0.2, 0.2});
+    std::vector<attack::FaultSpec> faults;
+    for (const double delta : {-0.2, 0.2}) {
+        attack::FaultSpec fault;  // driver gain only, no threshold fault
+        fault.driver_gain = 1.0 + delta;
+        faults.push_back(fault);
+    }
+    const auto outcomes = suite.run_many(faults);
     const double baseline = suite.baseline_accuracy();
     for (const auto& o : outcomes)
         EXPECT_GT(o.accuracy, 0.55 * baseline) << "gain " << o.fault.driver_gain;
 }
 
 TEST_F(EndToEnd, QuickExperimentTablesAreWellFormed) {
-    core::ExperimentOptions options;
+    core::RunOptions options;
     options.quick = true;
+    core::Session session(options);
     for (const auto* id : {"baseline", "fig7b", "fig8c"}) {
-        const auto table = core::find_experiment(id).run(options);
+        const auto table = session.run(id).table;
         EXPECT_GT(table.num_rows(), 0u) << id;
         EXPECT_FALSE(table.to_csv().empty()) << id;
     }
