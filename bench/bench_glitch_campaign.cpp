@@ -28,15 +28,12 @@
 #include "fi/campaign.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
-#include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace snnfi;
-
-constexpr std::uint64_t kReplicaStream = fi::CampaignEngine::kReplicaStream;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -122,17 +119,19 @@ int main(int argc, char** argv) {
     // Scheduled cells carry an empty base overlay: their faults arrive
     // through the schedule, as in the campaign.
     const std::vector<snn::FaultOverlay> blank_overlays(n_cells);
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t r = 0; r < replicas; ++r)
-        seeds.push_back(util::derive_seed(0xCA30, kReplicaStream + r));
     std::vector<std::size_t> ids(n_cells);
     std::iota(ids.begin(), ids.end(), std::size_t{0});
     util::ThreadPool pool(1);
+    // Each engine encodes its replica streams inside the timed region, as
+    // the campaign does once per round.
+    const auto eval_images = std::span(data.images).first(eval_n);
     const auto run_batched = [&](bool scheduled) {
+        std::vector<snn::EncodedStream> streams;
+        for (std::size_t r = 0; r < replicas; ++r)
+            streams.push_back(fi::replica_stream(*baseline, eval_images, 0xCA30, r));
         fi::InferenceRound round;
         round.model = baseline;
-        round.images = std::span(data.images).first(eval_n);
-        round.replica_seeds = seeds;
+        round.streams = streams;
         round.overlays = scheduled ? blank_overlays : static_overlays;
         if (scheduled) round.schedules = schedules;
         round.cells = ids;

@@ -11,9 +11,9 @@
 //     each running its own encoder stream and dense propagation (what a
 //     campaign would cost without lockstep batching);
 //   * runtime_overlay  — the production path, fi::run_lockstep_inference:
-//     the same faults advanced in lockstep batches over block-encoded
-//     replica streams (one encoding per replica, one dense propagation
-//     per batch and step).
+//     the same faults advanced in lockstep batches over encoded replica
+//     streams (one encoding per replica, built inside the timed region,
+//     and one dense propagation per batch and step).
 //
 // Emits the grid as a table and writes BENCH_runtime.json so CI tracks the
 // perf trajectory of the batching scheme that ships in the fi engine.
@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -159,19 +160,25 @@ int main(int argc, char** argv) {
         });
         return spikes;
     };
-    // Production: the campaign engine's scheduler over the same grid.
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t r = 0; r < replicas; ++r)
-        seeds.push_back(util::derive_seed(0xCA30, kReplicaStream + r));
+    // Production: the campaign engine's scheduler over the same grid. The
+    // replica streams are encoded inside the timed region, one pool job
+    // each, as the engine does, so both engines pay for their encoding.
     std::vector<std::size_t> ids(cells.size());
     std::iota(ids.begin(), ids.end(), std::size_t{0});
-    fi::InferenceRound round;
-    round.model = baseline;
-    round.images = std::span(data.images).first(eval_n);
-    round.replica_seeds = seeds;
-    round.overlays = overlays;
-    round.cells = ids;
+    const auto eval_images = std::span(data.images).first(eval_n);
     const auto run_runtime_overlay = [&](util::ThreadPool& pool) {
+        std::vector<std::optional<snn::EncodedStream>> built(replicas);
+        pool.parallel_for(replicas, [&](std::size_t r) {
+            built[r].emplace(fi::replica_stream(*baseline, eval_images, 0xCA30, r));
+        });
+        std::vector<snn::EncodedStream> streams;
+        for (std::optional<snn::EncodedStream>& stream : built)
+            streams.push_back(std::move(*stream));
+        fi::InferenceRound round;
+        round.model = baseline;
+        round.streams = streams;
+        round.overlays = overlays;
+        round.cells = ids;
         std::vector<std::size_t> spikes(cells.size() * replicas, 0);
         fi::run_lockstep_inference(
             pool, round,

@@ -5,7 +5,7 @@
 //   * threshold delta (paper §III-C, Fig. 6a), and/or
 //   * input drive gain ("theta" / spike amplitude, §III-B, Fig. 5b).
 //
-// Threshold semantics (DESIGN.md §4): kBindsNetValue scales the raw
+// Threshold semantics: kBindsNetValue scales the raw
 // negative-mV threshold value by (1+delta) — this is what the paper's
 // BindsNET experiments did and what Figs. 8a-8c/9a reflect (delta < 0 makes
 // firing *harder*). kCircuitDistance scales the rest-to-threshold distance

@@ -171,7 +171,7 @@ void AttackSuite::for_each_task(std::size_t tasks,
 
 AttackOutcome AttackSuite::evaluate_inference_only(const FaultSpec& fault) {
     // Inject the fault into the trained clean baseline and evaluate with
-    // frozen weights and frozen assignments (ablation mode; see DESIGN.md).
+    // frozen weights and frozen assignments (ablation mode: training is clean).
     // The baseline carries its post-training encoder stream, so this is the
     // clean training pass's continuation without repeating the training.
     snn::NetworkRuntime runtime(baseline_model());

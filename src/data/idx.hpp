@@ -2,7 +2,7 @@
 //
 // When a real MNIST copy is available under a directory (train-images-
 // idx3-ubyte / train-labels-idx1-ubyte), experiments use it automatically;
-// otherwise they fall back to the synthetic digits (DESIGN.md §4).
+// otherwise they fall back to the synthetic digits (data/synthetic_digits.hpp).
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,7 @@
 // scale, shear) plus stroke-width and intensity variation. The resulting
 // distribution has MNIST-like statistics (sparse bright strokes on a dark
 // background), which is what the Poisson encoder and STDP clustering
-// depend on. DESIGN.md §4 documents the substitution.
+// depend on. data/idx.hpp loads real MNIST instead when a copy is present.
 #pragma once
 
 #include <cstddef>

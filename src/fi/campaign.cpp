@@ -1,7 +1,6 @@
 #include "fi/campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <iterator>
@@ -34,7 +33,7 @@ struct FiMetrics {
     obs::Counter& cells;
     obs::Gauge& cells_per_s;
     obs::Histogram& train_ms;
-    obs::Histogram& infer_batch_ms;  ///< one (batch, block) of lockstep inference
+    obs::Histogram& infer_batch_ms;  ///< one (replica, batch) of lockstep inference
     obs::Histogram& clean_ms;
 
     static FiMetrics& get() {
@@ -497,17 +496,18 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
         clean_baseline_ = plan.baseline;
     }
     if (clean_.size() < max_reps) clean_.resize(max_reps);
-    const auto build_clean = [&](std::size_t replica) {
+    const std::span<const std::vector<float>> eval_images =
+        std::span(data.images).first(eval_n);
+    const auto build_clean = [&](std::size_t replica, const snn::EncodedStream& stream) {
         snn::NetworkRuntime runtime(plan.baseline);
-        runtime.rng().reseed(
-            util::derive_seed(config_.seed, kReplicaStream + replica));
         snn::ActivityClassifier classifier(plan.network_config.n_neurons,
                                            kNumClasses);
-        std::vector<snn::SampleActivity> activity;
-        activity.reserve(eval_n);
+        snn::SpikeRaster raster;
+        std::vector<snn::SampleActivity> activity(eval_n);
         for (std::size_t i = 0; i < eval_n; ++i) {
-            activity.push_back(runtime.run_sample(data.images[i]));
-            classifier.accumulate(activity.back().exc_counts, data.labels[i]);
+            stream.decode(i, raster);
+            runtime.run_sample_into(raster, activity[i]);
+            classifier.accumulate(activity[i].exc_counts, data.labels[i]);
         }
         classifier.assign_labels();
         std::size_t correct = 0;
@@ -521,47 +521,60 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             100.0 * static_cast<double>(correct) / static_cast<double>(eval_n);
         slot_ref.built = true;
     };
-    const auto ensure_clean = [&](std::size_t replicas) {
-        std::vector<std::size_t> missing;
-        for (std::size_t r = 0; r < replicas; ++r) {
-            if (!clean_[r].built) missing.push_back(r);
-        }
-        // Capture the span context BEFORE dispatch: the task bodies run on
-        // pool workers where this thread's current span is invisible.
-        const obs::Context ctx = obs::current_context();
-        session_.pool().parallel_for(missing.size(), [&](std::size_t m) {
-            obs::Span span("fi.clean", ctx);
-            span.tag("replica", static_cast<double>(missing[m]));
-            const auto start = std::chrono::steady_clock::now();
-            build_clean(missing[m]);
+    // Encodes one replica's stream, and runs its clean pass unless an
+    // earlier execute() memoised it. Task bodies run on pool workers, where
+    // this thread's current span is invisible: `ctx` is captured before
+    // dispatch.
+    const obs::Context ctx = obs::current_context();
+    const auto prepare = [&](std::size_t replica) {
+        const bool memoised = clean_[replica].built;
+        obs::Span span(memoised ? "fi.stream" : "fi.clean", ctx);
+        span.tag("replica", static_cast<double>(replica));
+        const auto start = std::chrono::steady_clock::now();
+        snn::EncodedStream stream =
+            replica_stream(*plan.baseline, eval_images, config_.seed, replica);
+        if (!memoised) {
+            build_clean(replica, stream);
             FiMetrics::get().clean_ms.observe(ms_since(start));
-        });
+        }
+        return stream;
     };
 
     // Per-cell replica outcomes, grown round by round. Every open cell has
     // the same replica count each round; run_lockstep_inference cuts a
-    // round into fixed-size batches and blocks, so results stay
-    // byte-identical for any worker count — and a cell's replica sequence
-    // never depends on which other cells are included, which is what
-    // makes shard outputs bit-identical to single-process runs.
+    // round into fixed-size batches, so results stay byte-identical for
+    // any worker count — and a cell's replica sequence never depends on
+    // which other cells are included, which is what makes shard outputs
+    // bit-identical to single-process runs.
     std::vector<std::vector<double>> drops(plan.cells.size());
     std::vector<std::vector<double>> accuracies(plan.cells.size());
     std::vector<std::size_t> open = selected_inference;
     std::size_t replicas_done = 0;
+    // The streams of replicas replicas_done, replicas_done + 1, ...: the
+    // current round's, or the one the previous round prepared ahead.
+    std::vector<snn::EncodedStream> streams;
     while (!open.empty() && replicas_done < max_reps) {
         const std::size_t round_replicas =
             replicas_done == 0 ? min_reps : replicas_done + 1;
-        ensure_clean(round_replicas);
-        std::vector<std::uint64_t> seeds;
-        for (std::size_t r = replicas_done; r < round_replicas; ++r)
-            seeds.push_back(util::derive_seed(config_.seed, kReplicaStream + r));
-        // Correct predictions per (new replica, open cell); integer sums,
-        // so the block order they accumulate in cannot matter.
-        std::vector<std::size_t> correct(seeds.size() * open.size(), 0);
+        const std::size_t ready = streams.size();
+        std::vector<std::optional<snn::EncodedStream>> missing(
+            round_replicas - replicas_done - ready);
+        session_.pool().parallel_for(missing.size(), [&](std::size_t m) {
+            missing[m].emplace(prepare(replicas_done + ready + m));
+        });
+        for (std::optional<snn::EncodedStream>& stream : missing)
+            streams.push_back(std::move(*stream));
+        // Only an early-stopping campaign can need replica round_replicas.
+        std::optional<snn::EncodedStream> next;
+        std::function<void()> ahead;
+        if (es.enabled && round_replicas < max_reps)
+            ahead = [&] { next.emplace(prepare(round_replicas)); };
+
+        // Correct predictions per (new replica, open cell).
+        std::vector<std::size_t> correct(streams.size() * open.size(), 0);
         InferenceRound round;
         round.model = plan.baseline;
-        round.images = std::span(data.images).first(eval_n);
-        round.replica_seeds = seeds;
+        round.streams = streams;
         round.overlays = overlays;
         round.schedules = plan.schedules;
         round.labels = plan.cells;
@@ -574,10 +587,11 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                     clean_[replicas_done + j].classifier;
                 if (reference.predict(activity.exc_counts) == data.labels[sample])
                     ++correct[j * open.size() + k];
-            });
+            },
+            ahead);
         // Merge replica by replica: each cell's replica sequence is
         // identical for any worker count.
-        for (std::size_t j = 0; j < seeds.size(); ++j) {
+        for (std::size_t j = 0; j < streams.size(); ++j) {
             for (std::size_t k = 0; k < open.size(); ++k) {
                 const std::size_t c = open[k];
                 const double accuracy_pct =
@@ -588,6 +602,8 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                 accuracies[c].push_back(accuracy_pct);
             }
         }
+        streams.clear();
+        if (next) streams.push_back(std::move(*next));
         replicas_done = round_replicas;
 
         std::vector<std::size_t> still_open;
@@ -626,8 +642,17 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
 
 // ------------------------------------------------------ lockstep inference
 
+snn::EncodedStream replica_stream(const snn::NetworkModel& model,
+                                  std::span<const std::vector<float>> images,
+                                  std::uint64_t campaign_seed, std::size_t replica) {
+    util::Rng rng(util::derive_seed(campaign_seed, kReplicaStream + replica));
+    return snn::EncodedStream(images, rng, model.config().encoder,
+                              model.config().steps_per_sample);
+}
+
 void run_lockstep_inference(util::ThreadPool& pool, const InferenceRound& round,
-                            const InferenceSink& sink) {
+                            const InferenceSink& sink,
+                            const std::function<void()>& ahead) {
     if (!round.model) throw std::invalid_argument("InferenceRound: no model");
     if (!round.schedules.empty() && round.schedules.size() != round.overlays.size())
         throw std::invalid_argument("InferenceRound: schedules/overlays mismatch");
@@ -638,120 +663,69 @@ void run_lockstep_inference(util::ThreadPool& pool, const InferenceRound& round,
             throw std::out_of_range("InferenceRound: cell id out of range");
     }
     const snn::NetworkModel& model = *round.model;
-    for (const std::vector<float>& image : round.images) {
-        if (image.size() != model.n_input())
-            throw std::invalid_argument("InferenceRound: image size mismatch");
+    for (const snn::EncodedStream& stream : round.streams) {
+        // An empty stream has no images to take an input size from.
+        if (stream.steps() != model.config().steps_per_sample ||
+            (stream.size() > 0 && stream.n_input() != model.n_input()) ||
+            stream.config() != model.config().encoder)
+            throw std::invalid_argument("InferenceRound: stream does not match the model");
     }
-    const std::size_t replicas = round.replica_seeds.size();
     const std::size_t n_cells = round.cells.size();
-    const std::size_t n_samples = round.images.size();
-    if (replicas == 0 || n_cells == 0 || n_samples == 0) return;
-    const std::size_t steps = model.config().steps_per_sample;
     const std::size_t batches = (n_cells + kBatchCells - 1) / kBatchCells;
-    constexpr std::size_t kBlock = CampaignEngine::kBlockSamples;
-    const std::size_t blocks = (n_samples + kBlock - 1) / kBlock;
-
-    // Per replica: its encoder stream, continued block after block, and
-    // two block buffers — block q is encoded into buffers[q % 2] while the
-    // batches replay block q - 1 from the other one.
-    struct Stream {
-        util::Rng rng;
-        snn::PoissonEncoder encoder;
-        std::array<std::vector<snn::SpikeRaster>, 2> buffers;
-    };
-    std::vector<Stream> streams;
-    streams.reserve(replicas);
-    for (const std::uint64_t seed : round.replica_seeds)
-        streams.push_back({util::Rng(seed), snn::PoissonEncoder(model.config().encoder),
-                           {}});
-    // Adaptive thresholds of each (replica, cell) between blocks: the only
-    // state an inference runtime carries across a sample boundary.
-    std::vector<std::vector<float>> theta(replicas * n_cells);
+    const std::size_t lead = ahead ? 1 : 0;
 
     // Cross-thread span hand-off: capture before dispatch (see
     // obs/span.hpp), so every job nests under the caller's span even
     // though it runs on an arbitrary pool worker.
     const obs::Context ctx = obs::current_context();
-    const auto encode_block = [&](std::size_t r, std::size_t q) {
-        obs::Span span("fi.encode", ctx);
-        span.tag("replica", static_cast<double>(r));
-        span.tag("block", static_cast<double>(q));
-        Stream& stream = streams[r];
-        std::vector<snn::SpikeRaster>& buffer = stream.buffers[q % 2];
-        buffer.resize(kBlock);
-        const std::size_t begin = q * kBlock;
-        const std::size_t end = std::min(begin + kBlock, n_samples);
-        for (std::size_t i = begin; i < end; ++i) {
-            stream.encoder.set_image(round.images[i]);
-            stream.encoder.encode(stream.rng, steps, buffer[i - begin]);
-        }
-    };
-    const auto infer_block = [&](std::size_t r, std::size_t b, std::size_t q) {
+    const auto infer_batch = [&](std::size_t r, std::size_t b) {
         const std::size_t first = b * kBatchCells;
         const std::size_t count = std::min(kBatchCells, n_cells - first);
         obs::Span batch_span("fi.batch", ctx);
         batch_span.tag("replica", static_cast<double>(r));
         batch_span.tag("cells", static_cast<double>(count));
-        batch_span.tag("block", static_cast<double>(q));
         const auto batch_start = std::chrono::steady_clock::now();
         std::vector<snn::NetworkRuntime> runtimes;
         runtimes.reserve(count);
         for (std::size_t k = 0; k < count; ++k) {
             const std::size_t id = round.cells[first + k];
             // One fi.cell span per (cell, replica): overlay + runtime
-            // construction of its first block. (The lockstep propagation
-            // is shared by the batch, so per-cell *inference* time is not
-            // separable by design.)
-            std::optional<obs::Span> cell_span;
-            if (q == 0) {
-                cell_span.emplace("fi.cell");
-                cell_span->tag("cell", static_cast<double>(id));
-                if (!round.labels.empty()) {
-                    cell_span->tag("model", round.labels[id].model);
-                    cell_span->tag("severity", round.labels[id].severity);
-                }
-                cell_span->tag("replica", static_cast<double>(r));
+            // construction. (The lockstep propagation is shared by the
+            // batch, so per-cell *inference* time is not separable by
+            // design.)
+            obs::Span cell_span("fi.cell");
+            cell_span.tag("cell", static_cast<double>(id));
+            if (!round.labels.empty()) {
+                cell_span.tag("model", round.labels[id].model);
+                cell_span.tag("severity", round.labels[id].severity);
             }
+            cell_span.tag("replica", static_cast<double>(r));
             runtimes.emplace_back(round.model, round.overlays[id]);
             if (!round.schedules.empty() && !round.schedules[id].empty())
                 runtimes.back().set_schedule(round.schedules[id]);
-            if (q > 0) runtimes.back().set_exc_theta(theta[r * n_cells + first + k]);
         }
         std::vector<snn::NetworkRuntime*> members;
         members.reserve(count);
         for (snn::NetworkRuntime& runtime : runtimes) members.push_back(&runtime);
         snn::BatchRunner batch(model, std::move(members));
         std::vector<snn::SampleActivity> activities(count);
-        const std::vector<snn::SpikeRaster>& buffer = streams[r].buffers[q % 2];
-        const std::size_t begin = q * kBlock;
-        const std::size_t end = std::min(begin + kBlock, n_samples);
-        for (std::size_t i = begin; i < end; ++i) {
-            batch.run_sample_into(buffer[i - begin], activities);
+        const snn::EncodedStream& stream = round.streams[r];
+        snn::SpikeRaster raster;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            stream.decode(i, raster);
+            batch.run_sample_into(raster, activities);
             for (std::size_t k = 0; k < count; ++k) sink(r, first + k, i, activities[k]);
-        }
-        if (q + 1 < blocks) {
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::span<const float> carried = runtimes[k].exc_theta();
-                theta[r * n_cells + first + k].assign(carried.begin(), carried.end());
-            }
         }
         FiMetrics::get().infer_batch_ms.observe(ms_since(batch_start));
     };
 
-    for (std::size_t q = 0; q <= blocks; ++q) {
-        // Encode jobs come first: the pool hands indices out in order, so
-        // the next block's encoding starts before any batch of this one.
-        const std::size_t encode_jobs = q < blocks ? replicas : 0;
-        const std::size_t infer_jobs = q > 0 ? replicas * batches : 0;
-        pool.parallel_for(encode_jobs + infer_jobs, [&](std::size_t job) {
-            if (job < encode_jobs) {
-                encode_block(job, q);
-            } else {
-                const std::size_t t = job - encode_jobs;
-                infer_block(t / batches, t % batches, q - 1);
-            }
-        });
-    }
+    pool.parallel_for(lead + round.streams.size() * batches, [&](std::size_t job) {
+        if (job < lead) {
+            ahead();
+        } else {
+            infer_batch((job - lead) / batches, (job - lead) % batches);
+        }
+    });
 }
 
 }  // namespace snnfi::fi

@@ -10,11 +10,16 @@
 //     FaultOverlay over the shared model, no baseline snapshot/restore, no
 //     weight copy — advanced in lockstep batches of kBatchCells cells
 //     (snn::BatchRunner) so the dense input propagation is computed once
-//     per batch, not per cell. run_lockstep_inference walks the eval set
-//     block-major (kBlockSamples samples per block): each replica's
-//     Poisson stream is encoded once per block into a double buffer and
-//     replayed by all of that replica's batches, which rebuild their
-//     runtimes per block and carry only the adaptive thresholds across;
+//     per batch, not per cell;
+//   * each replica's Poisson eval stream is encoded once per execute()
+//     into a packed snn::EncodedStream (replica_stream): its clean pass
+//     decodes it, and every (replica, batch) job of run_lockstep_inference
+//     replays the whole stream on one BatchRunner. A stream is dropped
+//     when its round ends;
+//   * a replica's clean pass depends only on the baseline, the eval set,
+//     the seed and the replica index, so while early stopping may run a
+//     further round, each round's parallel_for also prepares the next
+//     replica (stream plus clean pass) on a core the batches leave idle;
 //   * drift models (trains_under_fault()) are routed through the
 //     AttackSuite's train-under-fault pipeline, so the paper's attacks
 //     fall out as special cases with identical numbers;
@@ -28,14 +33,13 @@
 //     early once the 95% CI of its accuracy drop is tight (statistical
 //     early stopping), bounded by max_replicas.
 //
-// All replica seeds are index-derived and batch and block composition are
-// fixed, so campaign output is byte-identical for any worker count. The
-// clean reference passes are memoised on the engine, so repeated
-// run_cells calls (a shard worker's checkpoint chunks) compute each
-// replica's clean pass once. Results cache in
-// the Session keyed by the campaign config, so several scenarios can
-// present one campaign (detail table, sensitivity map) without
-// re-executing it.
+// All replica seeds are index-derived and batch composition is fixed, so
+// campaign output is byte-identical for any worker count. The clean
+// reference classifiers are memoised on the engine, so repeated run_cells
+// calls (a shard worker's checkpoint chunks) compute each replica's clean
+// pass once; only its stream is encoded again. Results cache in the
+// Session keyed by the campaign config, so several scenarios can present
+// one campaign (detail table, sensitivity map) without re-executing it.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +53,7 @@
 #include "attack/glitch.hpp"
 #include "fi/fault.hpp"
 #include "fi/sites.hpp"
+#include "snn/encoding.hpp"
 #include "snn/model.hpp"
 #include "util/table.hpp"
 
@@ -176,11 +181,6 @@ public:
     /// worker count, or campaign output would stop being byte-identical
     /// across machines.
     static constexpr std::size_t kBatchCells = 8;
-    /// Eval samples per block of run_lockstep_inference: each replica
-    /// stream is encoded one block ahead of its batches. Fixed for the
-    /// same reason as kBatchCells; it bounds the raster buffers to
-    /// 2 * kBlockSamples samples per replica.
-    static constexpr std::size_t kBlockSamples = 16;
     /// Stream id offset separating replica rng seeds from everything else
     /// derived from the campaign seed.
     static constexpr std::uint64_t kReplicaStream = 0x5EED0000;
@@ -228,12 +228,20 @@ private:
     std::shared_ptr<const snn::NetworkModel> clean_baseline_;
 };
 
+/// Replica `replica`'s eval stream: `images` encoded in order with the
+/// model's encoder config and step count from the Rng seeded with
+/// util::derive_seed(campaign_seed, kReplicaStream + replica).
+snn::EncodedStream replica_stream(const snn::NetworkModel& model,
+                                  std::span<const std::vector<float>> images,
+                                  std::uint64_t campaign_seed, std::size_t replica);
+
 /// One round of faulted lockstep inference: every listed cell under every
-/// replica encoder stream, over the same eval images.
+/// replica's encoded eval stream.
 struct InferenceRound {
     std::shared_ptr<const snn::NetworkModel> model;   ///< shared by every cell
-    std::span<const std::vector<float>> images;       ///< the eval stream, in order
-    std::span<const std::uint64_t> replica_seeds;     ///< one encoder stream each
+    /// One encoded eval stream per replica; each must match the model's
+    /// step count, input size and encoder config.
+    std::span<const snn::EncodedStream> streams;
     std::span<const snn::FaultOverlay> overlays;      ///< per cell id
     std::span<const snn::OverlaySchedule> schedules;  ///< per cell id, or empty
     std::span<const CellResult> labels;  ///< per cell id (span tags), or empty
@@ -241,24 +249,24 @@ struct InferenceRound {
 };
 
 /// Receives one sample's activity for one (replica, cell): `replica`
-/// indexes replica_seeds, `slot` indexes cells. Calls for distinct pairs
-/// may run concurrently; calls for one pair arrive in sample order.
+/// indexes streams, `slot` indexes cells. Calls for distinct pairs may run
+/// concurrently; calls for one pair arrive in sample order.
 using InferenceSink =
     std::function<void(std::size_t replica, std::size_t slot, std::size_t sample,
                        const snn::SampleActivity& activity)>;
 
 /// The campaign's inference scheduler. Cells are cut into fixed batches
-/// of CampaignEngine::kBatchCells per replica; the images into fixed
-/// blocks of CampaignEngine::kBlockSamples. One parallel_for per block
-/// encodes the next block of every replica stream into one half of a
-/// double buffer while each (replica, batch) advances over the current
-/// block from the other half. Each block rebuilds its batch's runtimes
-/// from the overlays/schedules and restores their adaptive thresholds, so
-/// no runtime outlives a block. Every activity equals what one BatchRunner
-/// per (replica, batch) produces over the whole image + Rng stream — for
-/// any worker count. Emits fi.encode, fi.batch (per block) and fi.cell
-/// (one per cell and replica) spans.
+/// of CampaignEngine::kBatchCells; one parallel_for runs one job per
+/// (replica, batch), which builds the batch's runtimes from the
+/// overlays/schedules and replays the replica's whole stream on one
+/// BatchRunner. Every activity is independent of the worker count. When
+/// `ahead` is set it runs as the first job of the same parallel_for, so
+/// independent work (the campaign's next clean pass) takes a core the
+/// batches leave idle. Throws std::invalid_argument on a stream that does
+/// not match the model, before any job runs. Emits fi.batch (per replica
+/// and batch) and fi.cell (one per cell and replica) spans.
 void run_lockstep_inference(util::ThreadPool& pool, const InferenceRound& round,
-                            const InferenceSink& sink);
+                            const InferenceSink& sink,
+                            const std::function<void()>& ahead = {});
 
 }  // namespace snnfi::fi

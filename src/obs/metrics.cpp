@@ -33,6 +33,20 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
     for (std::size_t b = 0; b <= bounds_.size(); ++b) counts_[b] = 0;
 }
 
+void Histogram::add(std::span<const std::uint64_t> counts, double sum) {
+    if (counts.size() != bounds_.size() + 1)
+        throw std::invalid_argument("Histogram::add: one count per bucket expected");
+    if (!enabled()) return;
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+        if (counts[b] == 0) continue;
+        counts_[b].fetch_add(counts[b], std::memory_order_relaxed);
+        total += counts[b];
+    }
+    count_.fetch_add(total, std::memory_order_relaxed);
+    detail::atomic_add(sum_, sum);
+}
+
 std::vector<std::uint64_t> Histogram::counts() const {
     std::vector<std::uint64_t> values(bounds_.size() + 1);
     for (std::size_t b = 0; b <= bounds_.size(); ++b)

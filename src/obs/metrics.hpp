@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,12 +89,23 @@ class Histogram {
 public:
     void observe(double value) noexcept {
         if (!enabled()) return;
-        std::size_t bucket = 0;
-        while (bucket < bounds_.size() && value > bounds_[bucket]) ++bucket;
-        counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+        counts_[bucket(value)].fetch_add(1, std::memory_order_relaxed);
         count_.fetch_add(1, std::memory_order_relaxed);
         detail::atomic_add(sum_, value);
     }
+
+    /// The bucket observe(value) counts `value` in.
+    std::size_t bucket(double value) const noexcept {
+        std::size_t b = 0;
+        while (b < bounds_.size() && value > bounds_[b]) ++b;
+        return b;
+    }
+
+    /// Bulk form of observe() for values tallied by the caller: adds
+    /// counts[b] to bucket b and `sum` to the sum, so the bucket counts
+    /// equal one observe() per value. Throws std::invalid_argument unless
+    /// counts.size() == bounds().size() + 1.
+    void add(std::span<const std::uint64_t> counts, double sum);
 
     const std::vector<double>& bounds() const noexcept { return bounds_; }
     /// Snapshot of the per-bucket counts (size bounds().size() + 1; the

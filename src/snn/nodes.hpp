@@ -8,7 +8,8 @@
 // circuit parameters plus the behavioural faults of the src/fi library:
 //   * per-neuron threshold scaling — applied to the rest-to-threshold
 //     distance, preserving the circuit semantics that a lower VDD lowers
-//     the threshold and makes the neuron fire sooner (DESIGN.md §4);
+//     the threshold and makes the neuron fire sooner (attack/fault_model.hpp
+//     sets out both threshold semantics);
 //   * per-neuron input gain — the paper's "theta", the membrane voltage
 //     change per input spike, corrupted through the current drivers;
 //   * per-neuron forced state — dead (output stuck low) or saturated

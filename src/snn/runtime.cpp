@@ -1,6 +1,7 @@
 #include "snn/runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -15,11 +16,14 @@ constexpr std::uint8_t kDead = static_cast<std::uint8_t>(NeuronFault::kDead);
 constexpr std::uint8_t kSaturated = static_cast<std::uint8_t>(NeuronFault::kSaturated);
 constexpr std::uint8_t kNominal = static_cast<std::uint8_t>(NeuronFault::kNominal);
 
-/// Hot-loop instruments, resolved once. Step-path counts are tallied in
-/// locals and flushed once per sample so the per-step cost with telemetry
-/// enabled stays a handful of relaxed atomic ops per *sample*; the
-/// active-fraction histogram is the only per-step record. All of it is a
-/// no-op while telemetry is off — results never depend on it.
+/// Upper bounds of the snn.active_fraction histogram buckets.
+constexpr std::array<double, 6> kActiveBounds{0.02, 0.05, 0.1, 0.2, 0.4, 0.8};
+
+/// Hot-loop instruments, resolved once. Step-path counts and the
+/// active-fraction buckets are tallied in a StepTally and flushed once per
+/// sample, so the per-step cost with telemetry enabled is a few local
+/// increments, not shared atomics. All of it is a no-op while telemetry is
+/// off — results never depend on it.
 struct SnnMetrics {
     obs::Counter& fast_steps;
     obs::Counter& scalar_steps;
@@ -27,15 +31,50 @@ struct SnnMetrics {
     obs::Histogram& active_fraction;
 
     static SnnMetrics& get() {
-        static const std::vector<double> bounds{0.02, 0.05, 0.1,
-                                                0.2,  0.4,  0.8};
         static SnnMetrics metrics{
             obs::Registry::global().counter("snn.steps.fast"),
             obs::Registry::global().counter("snn.steps.scalar"),
             obs::Registry::global().gauge("snn.active_fraction.last"),
-            obs::Registry::global().histogram("snn.active_fraction", bounds)};
+            obs::Registry::global().histogram(
+                "snn.active_fraction",
+                std::vector<double>(kActiveBounds.begin(), kActiveBounds.end()))};
         return metrics;
     }
+};
+
+/// One sample's telemetry, recorded step by step in locals: the same
+/// bucket counts as one active_fraction.observe() per step.
+class StepTally {
+public:
+    explicit StepTally(std::size_t n_input)
+        : metrics_(obs::enabled() ? &SnnMetrics::get() : nullptr),
+          inv_input_(1.0 / static_cast<double>(n_input)) {}
+    bool on() const noexcept { return metrics_ != nullptr; }
+
+    void input(std::size_t active) {
+        last_fraction_ = static_cast<double>(active) * inv_input_;
+        fraction_sum_ += last_fraction_;
+        ++buckets_[metrics_->active_fraction.bucket(last_fraction_)];
+    }
+    void path(bool fast) noexcept { ++(fast ? fast_steps_ : scalar_steps_); }
+
+    /// Flushes the sample into the shared instruments.
+    void flush() {
+        if (!metrics_) return;
+        metrics_->fast_steps.add(fast_steps_);
+        metrics_->scalar_steps.add(scalar_steps_);
+        metrics_->active_fraction.add(buckets_, fraction_sum_);
+        metrics_->active_fraction_last.set(last_fraction_);
+    }
+
+private:
+    SnnMetrics* metrics_;
+    double inv_input_;
+    std::array<std::uint64_t, kActiveBounds.size() + 1> buckets_{};
+    double fraction_sum_ = 0.0;
+    double last_fraction_ = 0.0;
+    std::uint64_t fast_steps_ = 0;
+    std::uint64_t scalar_steps_ = 0;
 };
 
 }  // namespace
@@ -765,36 +804,32 @@ void NetworkRuntime::run_sample_into(std::span<const float> image,
         throw std::invalid_argument("run_sample: image size mismatch");
     encoder_.set_image(image);
     encoder_.encode(rng_, config.steps_per_sample, raster_);
-    run_sample_into(raster_, activity);
+    replay(raster_, activity);
 }
 
 void NetworkRuntime::run_sample_into(const SpikeRaster& raster,
                                      SampleActivity& activity) {
     const DiehlCookConfig& config = model_->config();
     raster.validate(config.steps_per_sample, config.n_input);
+    replay(raster, activity);
+}
+
+void NetworkRuntime::replay(const SpikeRaster& raster, SampleActivity& activity) {
+    const DiehlCookConfig& config = model_->config();
     begin_sample();
     reset_activity(activity, config.n_neurons);
-    const bool telemetry = obs::enabled();
-    SnnMetrics* metrics = telemetry ? &SnnMetrics::get() : nullptr;
-    const double inv_input = 1.0 / static_cast<double>(config.n_input);
-    std::uint64_t fast_steps = 0;
-    std::uint64_t scalar_steps = 0;
+    StepTally tally(config.n_input);
     for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
         if (!schedule_.empty()) advance_schedule(step);
         const std::span<const std::uint32_t> active = raster.at(step);
         accumulate_drive(active);
         advance_step(active, activity);
-        if (metrics) {
-            const double fraction = static_cast<double>(active.size()) * inv_input;
-            metrics->active_fraction.observe(fraction);
-            metrics->active_fraction_last.set(fraction);
-            ++(fast_path_active() ? fast_steps : scalar_steps);
+        if (tally.on()) {
+            tally.input(active.size());
+            tally.path(fast_path_active());
         }
     }
-    if (metrics) {
-        metrics->fast_steps.add(fast_steps);
-        metrics->scalar_steps.add(scalar_steps);
-    }
+    tally.flush();
     end_sample();
 }
 
@@ -834,24 +869,25 @@ void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,
         throw std::invalid_argument("BatchRunner: activity batch size mismatch");
     encoder_.set_image(image);
     encoder_.encode(rng, model_.config().steps_per_sample, raster_);
-    run_sample_into(raster_, activities);
+    replay(raster_, activities);
 }
 
 void BatchRunner::run_sample_into(const SpikeRaster& raster,
                                   std::span<SampleActivity> activities) {
     if (activities.size() != runtimes_.size())
         throw std::invalid_argument("BatchRunner: activity batch size mismatch");
+    raster.validate(model_.config().steps_per_sample, model_.n_input());
+    replay(raster, activities);
+}
+
+void BatchRunner::replay(const SpikeRaster& raster,
+                         std::span<SampleActivity> activities) {
     const std::size_t steps = model_.config().steps_per_sample;
-    raster.validate(steps, model_.n_input());
     for (std::size_t k = 0; k < runtimes_.size(); ++k) {
         runtimes_[k]->begin_sample();
         reset_activity(activities[k], model_.n_neurons());
     }
-    const bool telemetry = obs::enabled();
-    SnnMetrics* metrics = telemetry ? &SnnMetrics::get() : nullptr;
-    const double inv_input = 1.0 / static_cast<double>(model_.n_input());
-    std::uint64_t fast_steps = 0;
-    std::uint64_t scalar_steps = 0;
+    StepTally tally(model_.n_input());
     const std::span<const float> base(base_drive_.data(), base_drive_.size());
     for (std::size_t step = 0; step < steps; ++step) {
         const std::span<const std::uint32_t> active = raster.at(step);
@@ -860,24 +896,15 @@ void BatchRunner::run_sample_into(const SpikeRaster& raster,
         std::fill(base_drive_.begin(), base_drive_.end(), 0.0f);
         kernels::accumulate_rows(model_rows_.data(), active, base_drive_.data(),
                                  base_drive_.size());
-        if (metrics) {
-            const double fraction =
-                static_cast<double>(active.size()) * inv_input;
-            metrics->active_fraction.observe(fraction);
-            metrics->active_fraction_last.set(fraction);
-        }
+        if (tally.on()) tally.input(active.size());
         for (std::size_t k = 0; k < runtimes_.size(); ++k) {
             if (!runtimes_[k]->schedule_.empty()) runtimes_[k]->advance_schedule(step);
             runtimes_[k]->adopt_drive(base, active);
             runtimes_[k]->advance_step(active, activities[k]);
-            if (metrics)
-                ++(runtimes_[k]->fast_path_active() ? fast_steps : scalar_steps);
+            if (tally.on()) tally.path(runtimes_[k]->fast_path_active());
         }
     }
-    if (metrics) {
-        metrics->fast_steps.add(fast_steps);
-        metrics->scalar_steps.add(scalar_steps);
-    }
+    tally.flush();
 }
 
 }  // namespace snnfi::snn

@@ -155,7 +155,13 @@ public:
 
 private:
     friend class BatchRunner;
+    friend class Trainer;           ///< replays rasters its stream validated
     friend struct RuntimeTestPeer;  ///< white-box kernel-equivalence tests
+
+    /// The step loop of run_sample_into(raster) without the raster check:
+    /// for rasters already known to be valid (freshly encoded, or decoded
+    /// by the strict unpack_raster).
+    void replay(const SpikeRaster& raster, SampleActivity& activity);
 
     /// Per-layer dynamic + fault state, struct-of-arrays.
     struct LayerState {
@@ -339,6 +345,9 @@ public:
                          std::span<SampleActivity> activities);
 
 private:
+    /// The step loop of run_sample_into(raster), past its checks.
+    void replay(const SpikeRaster& raster, std::span<SampleActivity> activities);
+
     const NetworkModel& model_;
     std::vector<NetworkRuntime*> runtimes_;
     PoissonEncoder encoder_;

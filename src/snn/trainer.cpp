@@ -103,6 +103,9 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train,
         member->set_learning(true);
     }
 
+    // decode() is the one raster check per sample: its strict reader only
+    // returns rasters valid for the stream's steps and input size, which
+    // match every member, so the members replay without re-checking.
     bool assignments_ready = false;
     for (std::size_t i = 0; i < train.size(); ++i) {
         stream.decode(i, raster);
@@ -110,7 +113,7 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train,
             if (hook) hook(m, i);
             MemberRecord& s = state[m];
             SampleActivity activity;
-            members_[m]->run_sample_into(raster, activity);
+            members_[m]->replay(raster, activity);
             s.result.total_exc_spikes += activity.total_exc_spikes;
             s.result.total_inh_spikes += activity.total_inh_spikes;
 
@@ -158,7 +161,7 @@ std::vector<TrainResult> Trainer::run_group(const Dataset& train,
         for (std::size_t i = 0; i < test->size(); ++i) {
             test_stream->decode(i, raster);
             for (std::size_t m = 0; m < members_.size(); ++m) {
-                members_[m]->run_sample_into(raster, activity);
+                members_[m]->replay(raster, activity);
                 if (state[m].retro.predict(activity.exc_counts) == test->labels[i])
                     ++test_correct[m];
             }

@@ -8,7 +8,7 @@
 //   Id = Is * [ sp^2((Vp - Vs)/2Ut) - sp^2((Vp - Vd)/2Ut) ] * (1 + lambda*|Vds|)
 //   Vp = (Vgs - Vt0)/n,   Is = 2 n (kp W/L) Ut^2,   sp(x) = ln(1 + e^x)
 //
-// referenced to the source (body effect neglected — see DESIGN.md). The
+// referenced to the source (body effect neglected, a first-order model). The
 // expression is infinitely smooth across cutoff/triode/saturation, conducts
 // symmetrically for Vds < 0, and yields analytic gm/gds for Newton-Raphson.
 #pragma once

@@ -5,7 +5,7 @@
 // parameters chosen to match first-order PTM 65 nm characteristics:
 // |Vt| ~ 0.4 V class thresholds, ~mA/um-class drive, subthreshold slope
 // ~90 mV/dec, and a balanced inverter switching near VDD/2 at VDD = 1 V.
-// They are not BSIM card translations; DESIGN.md documents the substitution.
+// They are not BSIM card translations.
 #pragma once
 
 #include "spice/mosfet_model.hpp"

@@ -1,14 +1,16 @@
-// The block-major campaign engine against an oracle: a test-side copy of
-// the straightforward engine that runs one BatchRunner per 8-cell chunk
-// over the whole image + Rng stream, with the same clean passes and the
-// same early-stopping rounds. Every per-cell number must match it bit for
-// bit — for eval sets on and around the block size, for weight-patch,
-// neuron and scheduled-glitch cells, with early stopping, at 1 and 4
-// workers — and repeated run_cells calls must reuse the clean passes.
+// The campaign engine against an oracle: a test-side copy of the
+// straightforward engine that runs one BatchRunner per 8-cell chunk over
+// the whole image + Rng stream, encoding step by step, with the same clean
+// passes and the same early-stopping rounds. Every per-cell number must
+// match it bit for bit — for eval sets of 1 to 35 samples, for
+// weight-patch, neuron and scheduled-glitch cells, with early stopping, at
+// 1 and 4 workers — and repeated run_cells calls must reuse the clean
+// passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/session.hpp"
 #include "fi/campaign.hpp"
@@ -21,8 +23,6 @@
 
 namespace snnfi::fi {
 namespace {
-
-constexpr std::size_t kBlock = CampaignEngine::kBlockSamples;
 
 core::RunOptions small_options(std::size_t workers) {
     core::RunOptions options;
@@ -203,7 +203,7 @@ void expect_cells_equal(const std::vector<CellResult>& got,
 }
 
 TEST(CampaignOracle, BlockMajorEngineMatchesWholeStreamOracle) {
-    const std::size_t sizes[] = {1, kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + 3};
+    const std::size_t sizes[] = {1, 15, 16, 17, 35};
     std::vector<std::string> renders;  // per eval set, at one worker
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         // The engines differ only in their eval set, so one session (and
@@ -243,7 +243,7 @@ TEST(CampaignOracle, EarlyStoppingRoundsMatchOracle) {
     // the rest to max_replicas through single-replica rounds.
     for (const double halfwidth : {0.0, 6.0}) {
         core::Session session(small_options(4));
-        CampaignConfig config = oracle_config(kBlock + 1);
+        CampaignConfig config = oracle_config(17);
         config.early_stop.ci_halfwidth_pct = halfwidth;
         CampaignEngine engine(session, config);
         const auto campaign = engine.run();
@@ -268,7 +268,7 @@ TEST(CampaignOracle, RunCellsReusesCleanPassesAcrossCalls) {
     obs::reset_trace();
     core::Session session(small_options(2));
     // A fixed replica count: both calls need the same clean passes.
-    CampaignConfig config = oracle_config(kBlock + 1);
+    CampaignConfig config = oracle_config(17);
     config.early_stop.enabled = false;
     CampaignEngine engine(session, config);
     const std::size_t total = engine.plan_cells();
@@ -283,13 +283,13 @@ TEST(CampaignOracle, RunCellsReusesCleanPassesAcrossCalls) {
     EXPECT_GT(clean_first, 0u);
     const CampaignResult second = engine.run_cells(second_chunk);
     EXPECT_EQ(count_spans("fi.clean"), clean_first);  // none in the second call
-    // One fi.cell span per (cell, replica), however many blocks ran.
+    // One fi.cell span per (cell, replica).
     std::size_t evaluations = 0;
     for (const CampaignResult* part : {&first, &second}) {
         for (const CellResult& cell : part->cells) evaluations += cell.replicas;
     }
     EXPECT_EQ(count_spans("fi.cell"), evaluations);
-    EXPECT_GT(count_spans("fi.encode"), 0u);
+    EXPECT_GT(count_spans("snn.stream"), 0u);
     obs::set_enabled(false);
     obs::reset_trace();
 
@@ -304,6 +304,93 @@ TEST(CampaignOracle, RunCellsReusesCleanPassesAcrossCalls) {
                                         full->cells.end());
     expect_cells_equal(second.cells, full_second, "vs full run");
     EXPECT_EQ(second.to_json(), fresh.run_cells(second_chunk).to_json());
+}
+
+TEST(CampaignOracle, EncodesEachReplicaStreamOncePerCampaign) {
+    obs::Counter& encoded = obs::Registry::global().counter("snn.encode.samples");
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        core::Session session(small_options(workers));
+        for (const bool early_stop : {true, false}) {
+            const std::string where = "workers " + std::to_string(workers) +
+                                      (early_stop ? ", early stopping" : ", fixed");
+            CampaignConfig config = oracle_config(17);
+            config.early_stop.enabled = early_stop;
+            config.early_stop.ci_halfwidth_pct = 6.0;
+            CampaignEngine engine(session, config);
+            (void)engine.plan_cells();  // trains the baseline, outside the count
+            obs::set_enabled(true);
+            const std::uint64_t before = encoded.value();
+            const auto result = engine.run();
+            const std::uint64_t samples = encoded.value() - before;
+            obs::set_enabled(false);
+
+            std::size_t reached = 0;
+            for (const CellResult& cell : result->cells)
+                reached = std::max(reached, cell.replicas);
+            if (!early_stop) {
+                // One round, nothing prepared ahead: one stream per replica.
+                EXPECT_EQ(samples, 17 * reached) << where;
+                continue;
+            }
+            ASSERT_GT(reached, config.early_stop.min_replicas) << where;
+            // One stream per replica reached, plus at most the one a last
+            // round prepared for a round that never came.
+            EXPECT_GE(samples, 17 * reached) << where;
+            EXPECT_LE(samples, 17 * (reached + 1)) << where;
+        }
+    }
+}
+
+TEST(CampaignOracle, InferenceRoundRejectsStreamsThatDoNotMatchTheModel) {
+    core::Session session(small_options(2));
+    const auto suite = session.attack_suite();
+    const auto model = suite->baseline_model();
+    const snn::DiehlCookConfig& network = model->config();
+    const auto images = std::span(suite->dataset().images).first(3);
+    const std::vector<snn::FaultOverlay> overlays(1);
+    const std::vector<std::size_t> cells{0};
+    const auto encode = [&](std::span<const std::vector<float>> input,
+                            snn::PoissonEncoderConfig encoder, std::size_t steps) {
+        util::Rng rng(7);
+        return snn::EncodedStream(input, rng, encoder, steps);
+    };
+    const auto run = [&](const snn::EncodedStream& stream, std::size_t& sunk,
+                         bool& ran_ahead) {
+        InferenceRound round;
+        round.model = model;
+        round.streams = std::span(&stream, 1);
+        round.overlays = overlays;
+        round.cells = cells;
+        run_lockstep_inference(
+            session.pool(), round,
+            [&](std::size_t, std::size_t, std::size_t, const snn::SampleActivity&) {
+                ++sunk;
+            },
+            [&] { ran_ahead = true; });
+    };
+
+    std::size_t sunk = 0;
+    bool ran_ahead = false;
+    run(encode(images, network.encoder, network.steps_per_sample), sunk, ran_ahead);
+    EXPECT_EQ(sunk, images.size());
+    EXPECT_TRUE(ran_ahead);
+
+    std::vector<std::vector<float>> narrow(images.begin(), images.end());
+    for (std::vector<float>& image : narrow) image.pop_back();
+    snn::PoissonEncoderConfig slower = network.encoder;
+    slower.max_rate_hz /= 2.0;
+    const snn::EncodedStream bad[] = {
+        encode(images, network.encoder, network.steps_per_sample - 1),  // steps
+        encode(narrow, network.encoder, network.steps_per_sample),      // input size
+        encode(images, slower, network.steps_per_sample),               // encoder
+    };
+    for (const snn::EncodedStream& stream : bad) {
+        sunk = 0;
+        ran_ahead = false;
+        EXPECT_THROW(run(stream, sunk, ran_ahead), std::invalid_argument);
+        EXPECT_EQ(sunk, 0u);  // rejected before any job ran
+        EXPECT_FALSE(ran_ahead);
+    }
 }
 
 }  // namespace

@@ -81,6 +81,28 @@ TEST_F(ObsTest, HistogramBucketBoundsAreUpperInclusive) {
     EXPECT_DOUBLE_EQ(histogram.sum(), 12.0);
 }
 
+TEST_F(ObsTest, HistogramBulkAddEqualsOneObservePerValue) {
+    const std::vector<double> values{0.5, 1.0, 1.5, 4.0, 5.0, 0.25};
+    Histogram& observed = Registry::global().histogram("test.observed", {1.0, 2.0, 4.0});
+    Histogram& added = Registry::global().histogram("test.added", {1.0, 2.0, 4.0});
+    std::vector<std::uint64_t> tally(observed.bounds().size() + 1, 0);
+    double sum = 0.0;
+    for (const double value : values) {
+        observed.observe(value);
+        ++tally[added.bucket(value)];
+        sum += value;
+    }
+    added.add(tally, sum);
+    EXPECT_EQ(added.counts(), observed.counts());
+    EXPECT_EQ(added.count(), values.size());
+    EXPECT_DOUBLE_EQ(added.sum(), observed.sum());
+
+    EXPECT_THROW(added.add(std::vector<std::uint64_t>(3, 1), 1.0), std::invalid_argument);
+    set_enabled(false);
+    added.add(tally, sum);  // a no-op while disabled
+    EXPECT_EQ(added.count(), values.size());
+}
+
 TEST_F(ObsTest, HistogramRejectsNonIncreasingBounds) {
     EXPECT_THROW(Registry::global().histogram("test.bad.bounds", {2.0, 2.0}),
                  std::invalid_argument);

@@ -1,13 +1,15 @@
 // BatchRunner's raster step loop: the image + Rng overload is a thin
 // encode-then-replay wrapper, bad input throws before any replica or the
-// Rng is touched, and a runtime rebuilt mid-stream with its adaptive
-// thresholds carried over continues exactly where the old one stopped —
-// the three properties the campaign's block-major scheduler rests on.
+// Rng is touched, a runtime rebuilt mid-stream with its adaptive
+// thresholds carried over continues exactly where the old one stopped,
+// and the per-sample telemetry tally counts what one record per step
+// would.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "data/synthetic_digits.hpp"
+#include "obs/metrics.hpp"
 #include "snn/model.hpp"
 #include "snn/runtime.hpp"
 #include "snn/trainer.hpp"
@@ -237,6 +239,53 @@ TEST(BatchRaster, SetExcThetaValidatesSize) {
     const std::vector<float> theta(model->n_neurons(), 2.5f);
     runtime.set_exc_theta(theta);
     EXPECT_TRUE(same_bits(runtime.exc_theta(), theta));
+}
+
+TEST(BatchRaster, TelemetryTallyEqualsOneRecordPerStep) {
+    const auto dataset = data::make_synthetic_dataset(1, 21);
+    const auto model = trained_model();
+    const std::size_t steps = model->config().steps_per_sample;
+    SpikeRaster raster;
+    util::Rng rng(0x5A);
+    PoissonEncoder encoder(model->config().encoder);
+    encoder.set_image(dataset.images[0]);
+    encoder.encode(rng, steps, raster);
+
+    const Members members;
+    auto runtimes = members.build(model);
+    BatchRunner batch(*model, pointers(runtimes));
+    std::vector<SampleActivity> activities(runtimes.size());
+    obs::set_enabled(true);
+    runtimes[0].run_sample_into(raster, activities[0]);  // registers the instruments
+    obs::Registry& registry = obs::Registry::global();
+    obs::Histogram& histogram = registry.histogram("snn.active_fraction", {});
+    obs::Counter& fast = registry.counter("snn.steps.fast");
+    obs::Counter& scalar = registry.counter("snn.steps.scalar");
+
+    std::vector<std::uint64_t> per_step(histogram.counts().size(), 0);
+    double last = 0.0;
+    const double inv_input = 1.0 / static_cast<double>(model->n_input());
+    for (std::size_t t = 0; t < steps; ++t) {
+        last = static_cast<double>(raster.at(t).size()) * inv_input;
+        ++per_step[histogram.bucket(last)];
+    }
+    // One standalone sample, then one batch sample of three members: the
+    // batch records its shared input once per step, its paths per member.
+    for (const std::size_t members_run : {std::size_t{1}, runtimes.size()}) {
+        const std::vector<std::uint64_t> before = histogram.counts();
+        const std::uint64_t paths_before = fast.value() + scalar.value();
+        if (members_run == 1) {
+            runtimes[0].run_sample_into(raster, activities[0]);
+        } else {
+            batch.run_sample_into(raster, activities);
+        }
+        const std::vector<std::uint64_t> after = histogram.counts();
+        for (std::size_t b = 0; b < after.size(); ++b)
+            EXPECT_EQ(after[b] - before[b], per_step[b]) << "bucket " << b;
+        EXPECT_EQ(fast.value() + scalar.value() - paths_before, steps * members_run);
+        EXPECT_EQ(registry.gauge("snn.active_fraction.last").value(), last);
+    }
+    obs::set_enabled(false);
 }
 
 }  // namespace
